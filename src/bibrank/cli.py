@@ -22,7 +22,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Sequence
+from contextlib import contextmanager
+from itertools import chain
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -68,11 +70,17 @@ class _Parser(argparse.ArgumentParser):
 # shared plumbing
 
 
-def _read_input(path: str) -> str:
+@contextmanager
+def _input_lines(path: str) -> Iterator[Iterable[str]]:
+    """The input's lines, endings kept, without a leading UTF-8 BOM."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as f:
-        return f.read()
+        lines = iter(sys.stdin)
+        first = next(lines, None)
+        yield lines if first is None else chain([first.removeprefix("\ufeff")], lines)
+        return
+    # newline="" keeps "\r\n" inside quoted CSV fields intact
+    with open(path, "r", encoding="utf-8-sig", newline="") as f:
+        yield f
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -83,15 +91,23 @@ def _write_output(text: str, path: str | None) -> None:
         f.write(text)
 
 
-def _sniff_format(path: str, text: str) -> str:
+def _sniff_format(path: str, lines: Iterable[str]) -> tuple[str, Iterable[str]]:
+    """Format from the extension, else from the first non-blank line.
+
+    Returns the format and the lines, with any peeked ones chained back.
+    """
     if path.endswith(".csv"):
-        return "csv"
+        return "csv", lines
     if path.endswith(".jsonl") or path.endswith(".json"):
-        return "jsonl"
-    for line in text.splitlines():
+        return "jsonl", lines
+    lines = iter(lines)
+    head = []
+    for line in lines:
+        head.append(line)
         if line.strip():
-            return "jsonl" if line.lstrip()[0] in "{[" else "csv"
-    return "jsonl"
+            fmt = "jsonl" if line.lstrip()[0] in "{[" else "csv"
+            return fmt, chain(head, lines)
+    return "jsonl", head
 
 
 def _load_scheme(path: str | None) -> SubjectScheme:
@@ -137,13 +153,13 @@ def _parse_doc_types(arg: str) -> set[DocType] | None:
 
 
 def _load_corpus(args: argparse.Namespace) -> tuple[Corpus, ValidationReport]:
-    text = _read_input(args.input)
-    fmt = args.input_format
-    if fmt == "auto":
-        fmt = _sniff_format(args.input, text)
-    scheme = _load_scheme(args.scheme)
-    parse = parse_jsonl if fmt == "jsonl" else parse_csv
-    corpus, report = parse(text, scheme=scheme, provenance=args.input)
+    with _input_lines(args.input) as lines:
+        fmt = args.input_format
+        if fmt == "auto":
+            fmt, lines = _sniff_format(args.input, lines)
+        scheme = _load_scheme(args.scheme)
+        parse = parse_jsonl if fmt == "jsonl" else parse_csv
+        corpus, report = parse(lines, scheme=scheme, provenance=args.input)
     for ref, message in report.errors:
         print(f"error: {ref}: {message}", file=sys.stderr)
     return corpus, report

@@ -18,6 +18,18 @@ literal ``ZZ``::
 
 Malformed rows are rejected individually and listed in the validation
 report; only a broken header is fatal.
+
+Both parsers take the whole text or an iterable of lines, such as an open
+file, and read it once. JSONL text splits into lines on ``\\n`` only, with a
+trailing ``\\r`` dropped, so U+2028, U+0085 and the other characters that
+``to_jsonl`` writes raw inside strings survive the round trip. CSV lines
+keep their endings, so quoted fields may hold newlines. The command-line
+reader drops a leading UTF-8 byte-order mark from files and stdin.
+
+Both formats are tokenized into the JSONL object shape and checked by one
+record builder. Within one parse call, authors with equal raw country lists
+share one interned :class:`AuthorRef` and records with equal raw subject
+lists share one subject set; both are frozen, so the sharing is safe.
 """
 
 from __future__ import annotations
@@ -26,7 +38,8 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from functools import partial
+from typing import Any, Callable, Iterable, Iterator
 
 from .errors import SchemaError
 from .model import (
@@ -73,10 +86,46 @@ class ValidationReport(object):
         return not self.errors
 
 
-def _as_lines(source: str | Iterable[str]) -> list[str]:
-    if isinstance(source, str):
-        return source.splitlines()
-    return [line.rstrip("\n").rstrip("\r") for line in source]
+def _as_lines(source: str | Iterable[str]) -> Iterator[str]:
+    # a string splits on "\n" only: to_jsonl writes U+2028, U+0085 and the
+    # other characters str.splitlines() also breaks on raw inside strings
+    lines = source.split("\n") if isinstance(source, str) else source
+    for line in lines:
+        yield line.rstrip("\n").rstrip("\r")
+
+
+def _csv_lines(source: str | Iterable[str]) -> Iterable[str]:
+    # csv.reader needs the line endings to keep newlines inside quoted fields
+    return io.StringIO(source, newline="") if isinstance(source, str) else source
+
+
+class _Batch(object):
+    """State of one parse call: report, accepted records and interning memo.
+
+    Each parse creates its own batch and drops it on return, so no two
+    parses share a memo. Interned values are frozen, so sharing one
+    ``AuthorRef`` or subject set between records is safe.
+    """
+
+    def __init__(self) -> None:
+        self.report = ValidationReport()
+        self.records: list[PublicationRecord] = []
+        self.seen_ids: set[str] = set()
+        # raw author country tuple -> (interned author, warnings it raises)
+        self.authors: dict[tuple[str, ...], tuple[AuthorRef, tuple[str, ...]]] = {}
+        # normalized country set -> the one AuthorRef that carries it
+        self.refs: dict[frozenset[str], AuthorRef] = {}
+        # raw subject tuple -> interned subject set
+        self.subjects: dict[tuple[str, ...], frozenset[str]] = {}
+
+    def reject(self, ref: str, message: str) -> None:
+        self.report.errors.append((ref, message))
+        self.report.records_rejected += 1
+
+    def finish(
+        self, scheme: SubjectScheme | None, provenance: str
+    ) -> tuple[Corpus, ValidationReport]:
+        return Corpus(tuple(self.records), scheme or EMPTY_SCHEME, provenance), self.report
 
 
 def _take_doc_type(raw: Any, ref: str, report: ValidationReport) -> DocType:
@@ -95,24 +144,132 @@ def _take_doc_type(raw: Any, ref: str, report: ValidationReport) -> DocType:
     return dt
 
 
+def _take_year(raw: Any, ref: str, batch: _Batch) -> int | None:
+    """The year, 0 with a warning when missing; None when the row is rejected."""
+    if raw is None:
+        batch.report.warnings.append((ref, "missing year; defaulting to 0"))
+        return 0
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        batch.reject(ref, f"year {raw!r} is not an integer")
+        return None
+    return raw
+
+
+def _interned(
+    memo: dict[tuple[str, ...], Any], raw: list[Any], build: Callable[[tuple[str, ...]], Any]
+) -> Any:
+    """``memo[tuple(raw)]``, built on a miss; None when ``raw`` holds a non-string.
+
+    A hit needs no type check: the key was all strings when stored, and no
+    other JSON value compares equal to a string.
+    """
+    key = tuple(raw)
+    try:
+        return memo[key]
+    except KeyError:
+        if not all(isinstance(v, str) for v in key):
+            return None
+        value = memo[key] = build(key)
+        return value
+    except TypeError:  # unhashable: a nested list or object
+        return None
+
+
+def _author(
+    refs: dict[frozenset[str], AuthorRef], raw: tuple[str, ...]
+) -> tuple[AuthorRef, tuple[str, ...]]:
+    # runs once per distinct raw country tuple of a parse
+    codes = set()
+    warnings = []
+    for code in raw:
+        norm = normalize_country(code)
+        if norm != UNRESOLVED and not is_country_code(norm):
+            warnings.append(f"country {code!r} is not a recognized name or two-letter code")
+        codes.add(norm)
+    codes.discard(UNRESOLVED)
+    codes.discard("")
+    countries = frozenset(codes)
+    author = refs.setdefault(countries, AuthorRef(countries))
+    if author.unresolved:
+        warnings.append("author with no resolvable country; credited to ZZ")
+    return author, tuple(warnings)
+
+
 def _take_authors(
-    raw_sets: list[list[str]], ref: str, report: ValidationReport
-) -> tuple[AuthorRef, ...]:
+    raw: Any, ref: str, batch: _Batch
+) -> tuple[tuple[AuthorRef, ...], list[str]] | None:
+    """Interned authors and their warnings; None when the row is rejected."""
+    if not isinstance(raw, list) or not raw:
+        batch.reject(ref, "missing or empty authors")
+        return None
+    build = partial(_author, batch.refs)
     authors = []
-    for raw in raw_sets:
-        for code in raw:
-            norm = normalize_country(code)
-            if norm != UNRESOLVED and not is_country_code(norm):
-                report.warnings.append(
-                    (ref, f"country {code!r} is not a recognized name or two-letter code")
-                )
-        author = AuthorRef.from_raw(raw)
-        if author.unresolved:
-            report.warnings.append(
-                (ref, "author with no resolvable country; credited to ZZ")
-            )
-        authors.append(author)
-    return tuple(authors)
+    warnings: list[str] = []
+    for entry in raw:
+        if not isinstance(entry, dict):
+            batch.reject(ref, "author entry is not an object")
+            return None
+        countries = entry.get("countries", [])
+        hit = _interned(batch.authors, countries, build) if isinstance(countries, list) else None
+        if hit is None:
+            batch.reject(ref, "author countries must be a list of strings")
+            return None
+        authors.append(hit[0])
+        warnings += hit[1]
+    return tuple(authors), warnings
+
+
+def _subject_set(raw: tuple[str, ...]) -> frozenset[str]:
+    return frozenset(s.strip() for s in raw if s.strip())
+
+
+def _build_record(
+    batch: _Batch, ref: str, row: dict[str, Any], *, year_first: bool = False
+) -> None:
+    """Check one tokenized row; append its record to ``batch`` or reject it.
+
+    ``row`` has the JSONL object shape; CSV rows are tokenized into it. CSV
+    checks the year before the authors and JSONL after them (``year_first``);
+    the order decides which error a row with several problems reports.
+    """
+    rec_id = row.get("id")
+    if not isinstance(rec_id, str) or not rec_id.strip():
+        batch.reject(ref, "missing or empty id")
+        return
+    rec_id = ref = rec_id.strip()
+    if rec_id in batch.seen_ids:
+        batch.reject(ref, "duplicate record id; first occurrence kept")
+        return
+
+    if year_first and (year := _take_year(row.get("year"), ref, batch)) is None:
+        return
+    taken = _take_authors(row.get("authors"), ref, batch)
+    if taken is None:
+        return
+    if not year_first and (year := _take_year(row.get("year"), ref, batch)) is None:
+        return
+    raw_subjects = row.get("subjects", [])
+    subjects = (
+        _interned(batch.subjects, raw_subjects, _subject_set)
+        if isinstance(raw_subjects, list)
+        else None
+    )
+    if subjects is None:
+        batch.reject(ref, "subjects must be a list of strings")
+        return
+
+    report = batch.report
+    doc_type = _take_doc_type(row.get("doc_type"), ref, report)
+    authors, warnings = taken
+    for message in warnings:
+        report.warnings.append((ref, message))
+    batch.records.append(
+        PublicationRecord(
+            id=rec_id, year=year, doc_type=doc_type, subjects=subjects, authors=authors
+        )
+    )
+    batch.seen_ids.add(rec_id)
+    report.records_accepted += 1
 
 
 def parse_jsonl(
@@ -123,14 +280,13 @@ def parse_jsonl(
 ) -> tuple[Corpus, ValidationReport]:
     """Parse a JSONL record stream.
 
-    Returns the corpus of accepted records plus a validation report. Rows
-    missing ``id`` or ``authors`` are rejected; missing ``year``/``doc_type``
-    degrade with a warning. Blank lines are ignored.
+    ``source`` is the whole text or an iterable of lines, such as an open
+    file; it is read once, line by line. Returns the corpus of accepted
+    records plus a validation report. Rows missing ``id`` or ``authors`` are
+    rejected; missing ``year``/``doc_type`` degrade with a warning. Blank
+    lines are ignored.
     """
-    report = ValidationReport()
-    records: list[PublicationRecord] = []
-    seen_ids: set[str] = set()
-
+    batch = _Batch()
     for lineno, line in enumerate(_as_lines(source), start=1):
         if not line.strip():
             continue
@@ -138,80 +294,22 @@ def parse_jsonl(
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
-            report.errors.append((ref, f"malformed JSON: {exc.msg}"))
-            report.records_rejected += 1
+            batch.reject(ref, f"malformed JSON: {exc.msg}")
             continue
         if not isinstance(obj, dict):
-            report.errors.append((ref, "record is not a JSON object"))
-            report.records_rejected += 1
+            batch.reject(ref, "record is not a JSON object")
             continue
+        _build_record(batch, ref, obj)
+    return batch.finish(scheme, provenance)
 
-        rec_id = obj.get("id")
-        if not isinstance(rec_id, str) or not rec_id.strip():
-            report.errors.append((ref, "missing or empty id"))
-            report.records_rejected += 1
-            continue
-        rec_id = rec_id.strip()
-        ref = rec_id
-        if rec_id in seen_ids:
-            report.errors.append((ref, "duplicate record id; first occurrence kept"))
-            report.records_rejected += 1
-            continue
 
-        raw_authors = obj.get("authors")
-        if not isinstance(raw_authors, list) or not raw_authors:
-            report.errors.append((ref, "missing or empty authors"))
-            report.records_rejected += 1
-            continue
-        raw_sets: list[list[str]] = []
-        bad = None
-        for entry in raw_authors:
-            if not isinstance(entry, dict):
-                bad = "author entry is not an object"
-                break
-            countries = entry.get("countries", [])
-            if not isinstance(countries, list) or not all(
-                isinstance(c, str) for c in countries
-            ):
-                bad = "author countries must be a list of strings"
-                break
-            raw_sets.append(countries)
-        if bad is not None:
-            report.errors.append((ref, bad))
-            report.records_rejected += 1
-            continue
-
-        year = obj.get("year")
-        if year is None:
-            report.warnings.append((ref, "missing year; defaulting to 0"))
-            year = 0
-        elif isinstance(year, bool) or not isinstance(year, int):
-            report.errors.append((ref, f"year {year!r} is not an integer"))
-            report.records_rejected += 1
-            continue
-
-        raw_subjects = obj.get("subjects", [])
-        if not isinstance(raw_subjects, list) or not all(
-            isinstance(s, str) for s in raw_subjects
-        ):
-            report.errors.append((ref, "subjects must be a list of strings"))
-            report.records_rejected += 1
-            continue
-
-        records.append(
-            PublicationRecord(
-                id=rec_id,
-                year=year,
-                doc_type=_take_doc_type(obj.get("doc_type"), ref, report),
-                subjects=frozenset(s.strip() for s in raw_subjects if s.strip()),
-                authors=_take_authors(raw_sets, ref, report),
-            )
-        )
-        seen_ids.add(rec_id)
-        report.records_accepted += 1
-
-    corpus = Corpus(tuple(records), scheme or EMPTY_SCHEME, provenance)
-    return corpus, report
+def _csv_year(raw: str) -> int | str | None:
+    if not raw:
+        return None
+    try:
+        return int(raw)
+    except ValueError:
+        return raw  # rejected by _build_record, quoted as written
 
 
 def parse_csv(
@@ -222,14 +320,12 @@ def parse_csv(
 ) -> tuple[Corpus, ValidationReport]:
     """Parse the CSV record format; see the module docstring for the layout.
 
-    A header differing from ``id,year,doc_type,subjects,author_countries``
-    raises :class:`SchemaError`; row-level problems reject only that row.
+    ``source`` is the whole text or an iterable of lines that keep their
+    endings, such as a file opened with ``newline=""``. A header differing
+    from ``id,year,doc_type,subjects,author_countries`` raises
+    :class:`SchemaError`; row-level problems reject only that row.
     """
-    report = ValidationReport()
-    records: list[PublicationRecord] = []
-    seen_ids: set[str] = set()
-
-    reader = csv.reader(_as_lines(source))
+    reader = csv.reader(_csv_lines(source))
     try:
         header = next(reader)
     except StopIteration:
@@ -239,60 +335,27 @@ def parse_csv(
             f"bad CSV header {header!r}; expected {','.join(CSV_HEADER)}"
         )
 
+    batch = _Batch()
     for rownum, row in enumerate(reader, start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
         ref = f"row {rownum}"
         if len(row) != len(CSV_HEADER):
-            report.errors.append((ref, f"expected {len(CSV_HEADER)} columns, got {len(row)}"))
-            report.records_rejected += 1
+            batch.reject(ref, f"expected {len(CSV_HEADER)} columns, got {len(row)}")
             continue
         rec_id, raw_year, raw_doc, raw_subjects, raw_authors = (c.strip() for c in row)
-        if not rec_id:
-            report.errors.append((ref, "missing or empty id"))
-            report.records_rejected += 1
-            continue
-        ref = rec_id
-        if rec_id in seen_ids:
-            report.errors.append((ref, "duplicate record id; first occurrence kept"))
-            report.records_rejected += 1
-            continue
-
-        if not raw_year:
-            report.warnings.append((ref, "missing year; defaulting to 0"))
-            year = 0
-        else:
-            try:
-                year = int(raw_year)
-            except ValueError:
-                report.errors.append((ref, f"year {raw_year!r} is not an integer"))
-                report.records_rejected += 1
-                continue
-
-        if not raw_authors:
-            report.errors.append((ref, "missing or empty authors"))
-            report.records_rejected += 1
-            continue
-        raw_sets = [
-            [c for c in token.split("+") if c.strip()]
-            for token in raw_authors.split("|")
-        ]
-
-        subjects = frozenset(s.strip() for s in raw_subjects.split(";") if s.strip())
-        records.append(
-            PublicationRecord(
-                id=rec_id,
-                year=year,
-                doc_type=_take_doc_type(raw_doc, ref, report),
-                subjects=subjects,
-                authors=_take_authors(raw_sets, ref, report),
-            )
-        )
-        seen_ids.add(rec_id)
-        report.records_accepted += 1
-
-    corpus = Corpus(tuple(records), scheme or EMPTY_SCHEME, provenance)
-    return corpus, report
+        tokens = {
+            "id": rec_id,
+            "year": _csv_year(raw_year),
+            "doc_type": raw_doc,
+            "subjects": raw_subjects.split(";"),
+            "authors": [
+                {"countries": [c for c in token.split("+") if c.strip()]}
+                for token in (raw_authors.split("|") if raw_authors else ())
+            ],
+        }
+        _build_record(batch, ref, tokens, year_first=True)
+    return batch.finish(scheme, provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +399,9 @@ def to_csv(corpus: Corpus) -> str:
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
+    # csv quotes a field only for the characters of its own line terminator,
+    # but its reader also ends a row at a bare "\r": quote such rows whole
+    quoting_writer = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
     writer.writerow(CSV_HEADER)
     for record in corpus.records:
         subjects = ";".join(
@@ -346,9 +412,11 @@ def to_csv(corpus: Corpus) -> str:
             or UNRESOLVED
             for a in record.authors
         )
-        writer.writerow(
-            [record.id, record.year, record.doc_type.value, subjects, authors]
-        )
+        row = [record.id, record.year, record.doc_type.value, subjects, authors]
+        if "\r" in record.id or "\r" in subjects or "\r" in authors:
+            quoting_writer.writerow(row)
+        else:
+            writer.writerow(row)
     return buf.getvalue()
 
 
@@ -404,7 +472,7 @@ class GroupRankRow(object):
 def _strict_rows(
     source: str | Iterable[str], expected_header: list[str]
 ) -> Iterable[list[str]]:
-    reader = csv.reader(_as_lines(source))
+    reader = csv.reader(_csv_lines(source))
     try:
         header = next(reader)
     except StopIteration:

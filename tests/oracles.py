@@ -4,15 +4,34 @@ Everything here is written for obviousness, not speed: fractional credit
 is exact rational arithmetic via Fraction, correlations follow the
 textbook formulas with fsum, and ranks are counted by direct comparison.
 None of it shares code with the package under test.
+
+The record parsers at the end are the exception: they are frozen copies of
+the straightforward per-row parsers that predate the interning ingest path,
+kept so that the fast path can be checked against them byte for byte. They
+share only the model types, ``normalize_country``, ``ValidationReport`` and
+``SchemaError`` with the package.
 """
 
 from __future__ import annotations
 
+import csv
+import json
 import math
 import random
 from fractions import Fraction
 
-from bibrank.model import AuthorRef, Corpus, DocType, PublicationRecord
+from bibrank.errors import SchemaError
+from bibrank.ingest import ValidationReport
+from bibrank.model import (
+    EMPTY_SCHEME,
+    UNRESOLVED,
+    AuthorRef,
+    Corpus,
+    DocType,
+    PublicationRecord,
+    is_country_code,
+    normalize_country,
+)
 
 
 def oracle_whole(corpus: Corpus) -> dict[str, int]:
@@ -126,6 +145,208 @@ def random_corpus(rng: random.Random, n_records: int, scheme=None) -> Corpus:
                 authors=tuple(authors),
             )
         )
-    from bibrank.model import EMPTY_SCHEME
-
     return Corpus(tuple(records), scheme or EMPTY_SCHEME)
+
+
+# ---------------------------------------------------------------------------
+# reference record parsers: one object per row, every string normalized in place
+
+_ORACLE_CSV_HEADER = ["id", "year", "doc_type", "subjects", "author_countries"]
+_ORACLE_DOC_TYPES = {d.value: d for d in DocType}
+
+
+def _oracle_lines(source):
+    if isinstance(source, str):
+        return source.splitlines()
+    return [line.rstrip("\n").rstrip("\r") for line in source]
+
+
+def _oracle_doc_type(raw, ref, report):
+    if raw is None or raw == "":
+        report.warnings.append((ref, "missing doc_type; treated as 'other'"))
+        return DocType.OTHER
+    if not isinstance(raw, str):
+        report.warnings.append((ref, f"doc_type {raw!r} is not a string; treated as 'other'"))
+        return DocType.OTHER
+    dt = _ORACLE_DOC_TYPES.get(raw.strip().lower())
+    if dt is None:
+        report.warnings.append((ref, f"unknown doc_type {raw!r}; treated as 'other'"))
+        return DocType.OTHER
+    return dt
+
+
+def _oracle_authors(raw_sets, ref, report):
+    authors = []
+    for raw in raw_sets:
+        for code in raw:
+            norm = normalize_country(code)
+            if norm != UNRESOLVED and not is_country_code(norm):
+                report.warnings.append(
+                    (ref, f"country {code!r} is not a recognized name or two-letter code")
+                )
+        author = AuthorRef.from_raw(raw)
+        if author.unresolved:
+            report.warnings.append(
+                (ref, "author with no resolvable country; credited to ZZ")
+            )
+        authors.append(author)
+    return tuple(authors)
+
+
+def oracle_parse_jsonl(source, *, scheme=None, provenance="jsonl"):
+    report = ValidationReport()
+    records = []
+    seen_ids = set()
+
+    for lineno, line in enumerate(_oracle_lines(source), start=1):
+        if not line.strip():
+            continue
+        ref = f"line {lineno}"
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            report.errors.append((ref, f"malformed JSON: {exc.msg}"))
+            report.records_rejected += 1
+            continue
+        if not isinstance(obj, dict):
+            report.errors.append((ref, "record is not a JSON object"))
+            report.records_rejected += 1
+            continue
+
+        rec_id = obj.get("id")
+        if not isinstance(rec_id, str) or not rec_id.strip():
+            report.errors.append((ref, "missing or empty id"))
+            report.records_rejected += 1
+            continue
+        rec_id = rec_id.strip()
+        ref = rec_id
+        if rec_id in seen_ids:
+            report.errors.append((ref, "duplicate record id; first occurrence kept"))
+            report.records_rejected += 1
+            continue
+
+        raw_authors = obj.get("authors")
+        if not isinstance(raw_authors, list) or not raw_authors:
+            report.errors.append((ref, "missing or empty authors"))
+            report.records_rejected += 1
+            continue
+        raw_sets = []
+        bad = None
+        for entry in raw_authors:
+            if not isinstance(entry, dict):
+                bad = "author entry is not an object"
+                break
+            countries = entry.get("countries", [])
+            if not isinstance(countries, list) or not all(
+                isinstance(c, str) for c in countries
+            ):
+                bad = "author countries must be a list of strings"
+                break
+            raw_sets.append(countries)
+        if bad is not None:
+            report.errors.append((ref, bad))
+            report.records_rejected += 1
+            continue
+
+        year = obj.get("year")
+        if year is None:
+            report.warnings.append((ref, "missing year; defaulting to 0"))
+            year = 0
+        elif isinstance(year, bool) or not isinstance(year, int):
+            report.errors.append((ref, f"year {year!r} is not an integer"))
+            report.records_rejected += 1
+            continue
+
+        raw_subjects = obj.get("subjects", [])
+        if not isinstance(raw_subjects, list) or not all(
+            isinstance(s, str) for s in raw_subjects
+        ):
+            report.errors.append((ref, "subjects must be a list of strings"))
+            report.records_rejected += 1
+            continue
+
+        records.append(
+            PublicationRecord(
+                id=rec_id,
+                year=year,
+                doc_type=_oracle_doc_type(obj.get("doc_type"), ref, report),
+                subjects=frozenset(s.strip() for s in raw_subjects if s.strip()),
+                authors=_oracle_authors(raw_sets, ref, report),
+            )
+        )
+        seen_ids.add(rec_id)
+        report.records_accepted += 1
+
+    return Corpus(tuple(records), scheme or EMPTY_SCHEME, provenance), report
+
+
+def oracle_parse_csv(source, *, scheme=None, provenance="csv"):
+    report = ValidationReport()
+    records = []
+    seen_ids = set()
+
+    reader = csv.reader(_oracle_lines(source))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError("empty input: expected a CSV header row") from None
+    if [h.strip() for h in header] != _ORACLE_CSV_HEADER:
+        raise SchemaError(
+            f"bad CSV header {header!r}; expected {','.join(_ORACLE_CSV_HEADER)}"
+        )
+
+    for rownum, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        ref = f"row {rownum}"
+        if len(row) != len(_ORACLE_CSV_HEADER):
+            report.errors.append(
+                (ref, f"expected {len(_ORACLE_CSV_HEADER)} columns, got {len(row)}")
+            )
+            report.records_rejected += 1
+            continue
+        rec_id, raw_year, raw_doc, raw_subjects, raw_authors = (c.strip() for c in row)
+        if not rec_id:
+            report.errors.append((ref, "missing or empty id"))
+            report.records_rejected += 1
+            continue
+        ref = rec_id
+        if rec_id in seen_ids:
+            report.errors.append((ref, "duplicate record id; first occurrence kept"))
+            report.records_rejected += 1
+            continue
+
+        if not raw_year:
+            report.warnings.append((ref, "missing year; defaulting to 0"))
+            year = 0
+        else:
+            try:
+                year = int(raw_year)
+            except ValueError:
+                report.errors.append((ref, f"year {raw_year!r} is not an integer"))
+                report.records_rejected += 1
+                continue
+
+        if not raw_authors:
+            report.errors.append((ref, "missing or empty authors"))
+            report.records_rejected += 1
+            continue
+        raw_sets = [
+            [c for c in token.split("+") if c.strip()]
+            for token in raw_authors.split("|")
+        ]
+
+        subjects = frozenset(s.strip() for s in raw_subjects.split(";") if s.strip())
+        records.append(
+            PublicationRecord(
+                id=rec_id,
+                year=year,
+                doc_type=_oracle_doc_type(raw_doc, ref, report),
+                subjects=subjects,
+                authors=_oracle_authors(raw_sets, ref, report),
+            )
+        )
+        seen_ids.add(rec_id)
+        report.records_accepted += 1
+
+    return Corpus(tuple(records), scheme or EMPTY_SCHEME, provenance), report

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 
 import pytest
@@ -135,6 +136,27 @@ class TestCount:
     def test_csv_input_sniffed(self, capsys, tmp_path, mixed_corpus):
         path = tmp_path / "corpus.csv"
         path.write_text(to_csv(mixed_corpus), encoding="utf-8")
+        code, out, _ = invoke(capsys, "count", "--input", str(path))
+        assert code == 0
+        assert "US,3" in out
+
+
+    def test_bom_prefixed_jsonl_counts_every_record(self, capsys, tmp_path, mixed_corpus):
+        path = tmp_path / "bom.jsonl"
+        path.write_bytes(b"\xef\xbb\xbf" + to_jsonl(mixed_corpus).encode("utf-8"))
+        code, out, err = invoke(capsys, "count", "--input", str(path), "--doc-types", "all")
+        assert code == 0
+        assert f"{len(mixed_corpus)} records counted" in err.splitlines()
+
+    def test_bom_prefixed_stdin_counts_every_record(self, capsys, monkeypatch, mixed_corpus):
+        monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff" + to_jsonl(mixed_corpus)))
+        code, _, err = invoke(capsys, "count", "--input", "-", "--doc-types", "all")
+        assert code == 0
+        assert f"{len(mixed_corpus)} records counted" in err.splitlines()
+
+    def test_bom_prefixed_csv_sniffed(self, capsys, tmp_path, mixed_corpus):
+        path = tmp_path / "bom.txt"
+        path.write_bytes(b"\xef\xbb\xbf" + to_csv(mixed_corpus).encode("utf-8"))
         code, out, _ = invoke(capsys, "count", "--input", str(path))
         assert code == 0
         assert "US,3" in out

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import json
+import random
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bibrank.errors import SchemaError
 from bibrank.ingest import (
@@ -19,6 +22,7 @@ from bibrank.model import Corpus, DocType
 from bibrank.tables import format_number, write_table
 
 from conftest import rec
+from oracles import oracle_parse_csv, oracle_parse_jsonl
 
 MINIMAL = '{"id":"p1","year":2016,"doc_type":"article","subjects":["PHYS"],"authors":[{"countries":["IN"]}]}'
 
@@ -134,6 +138,265 @@ class TestParseCsv:
         back, report = parse_csv(text)
         assert report.ok
         assert back.records == corpus.records
+
+
+# characters that str.splitlines() treats as line breaks but JSON leaves raw
+LINE_BREAKERS = ["\u2028", "\u2029", "\x85", "\x1c", "\x1d", "\x1e"]
+
+
+class TestRoundTripHostileText:
+    @pytest.mark.parametrize("ch", LINE_BREAKERS)
+    def test_jsonl_id_and_subject_survive(self, ch):
+        corpus = Corpus(
+            (
+                rec(f"p{ch}1", ["US"], subjects=("PHYS",)),
+                rec("p2", ["GB"], subjects=(f"PH{ch}YS",)),
+            )
+        )
+        text = to_jsonl(corpus)
+        back, report = parse_jsonl(text)
+        assert report.ok and report.records_accepted == 2
+        assert back.records == corpus.records
+        assert to_jsonl(back) == text
+
+    def test_csv_id_with_embedded_newline_survives(self):
+        corpus = Corpus(
+            (
+                rec("p\n1", ["US"]),
+                rec("p\r\n2", ["GB"]),
+                rec("p\r3", ["FR"], subjects=("A\rB",)),
+                rec("p4", ["FR"]),
+            )
+        )
+        text = to_csv(corpus)
+        back, report = parse_csv(text)
+        assert report.ok and report.records_accepted == 4
+        assert back.records == corpus.records
+        assert to_csv(back) == text
+
+
+_DROP = object()  # a _row field given this value is left out of the object
+
+
+def _row(id="g1", **fields) -> str:
+    obj = {
+        "id": id,
+        "year": 2016,
+        "doc_type": "article",
+        "subjects": ["PHYS"],
+        "authors": [{"countries": ["US"]}],
+    }
+    obj.update(fields)
+    return json.dumps({k: v for k, v in obj.items() if v is not _DROP})
+
+
+# dirty JSONL rows; each line is one case, and the grid is also parsed as one
+# stream in several orders so duplicate ids and memo reuse cross records
+JSONL_GRID = [
+    _row("g1"),
+    _row("g2", authors=[{"countries": ["united  states", " uk ", "China"]},
+                        {"countries": ["usa"]}, {"countries": ["US"]}]),
+    _row("g3", authors=[{"countries": []}, {"countries": ["ZZ"]}, {"countries": ["zz"]}, {}]),
+    _row("g4", authors=[{"countries": ["Atlantis", "USA", "X1", "", "  ", "de"]}]),
+    _row("g5", authors=[{"countries": ["Atlantis", "USA", "X1", "", "  ", "de"]}], year=_DROP),
+    _row("g6", subjects=[" PHYS ", "", "MED", "MED"], doc_type="Review "),
+    _row("g7", doc_type="letter", subjects=_DROP),
+    _row("g8", doc_type=5, year=None),
+    _row("g9", doc_type=""),
+    _row("g10", doc_type=_DROP),
+    "{nope",
+    '{"id": "m1",',
+    "[1, 2]",
+    '"just a string"',
+    "42",
+    "null",
+    _row("b1", authors=[{"countries": ["US", 7]}]),
+    _row("b2", authors=[{"countries": [["US"]]}]),
+    _row("b3", authors=[{"countries": "US"}]),
+    _row("b4", authors=["US"]),
+    _row("b5", authors=[{"countries": ["US"]}, {"countries": [{"c": "US"}]}]),
+    _row("b6", authors=[{"countries": [None]}]),
+    _row("g1"),
+    _row(" g1 "),
+    _row("d1", year="2016"),
+    _row("d2", year=2016.0),
+    _row("d3", year=True),
+    _row("d4", year=[2016]),
+    _row(_DROP),
+    _row("   "),
+    _row(17),
+    _row("e1", authors=[]),
+    _row("e2", authors=_DROP),
+    _row("e3", authors={"countries": ["US"]}),
+    _row("e4", subjects="PHYS"),
+    _row("e5", subjects=["PHYS", 1]),
+    _row("e6", subjects=[["PHYS"]]),
+    _row("c1", year="x", authors=_DROP),
+    _row("c2", year=_DROP, subjects="x"),
+    _row("c3", year=_DROP, authors=[{"countries": ["usa"]}], doc_type="letter"),
+    "",
+    "   ",
+]
+
+CSV_GRID = [
+    "p1,2016,article,PHYS;CHEM,IN+US|GB|ZZ",
+    "p2,2016,Article , PHYS ; ;MED,united states+ uk |China",
+    "p3,2016,article,,ZZ|zz|+|  ",
+    "p4,2016,article,PHYS,Atlantis+X1+de",
+    "p5,2016,article",
+    "p6,2016,article,PHYS,US,extra",
+    ",2016,article,PHYS,US",
+    "p1,2017,article,PHYS,US",
+    "p7,20x6,article,PHYS,US",
+    "p8,2016.0,article,PHYS,US",
+    "p9,,article,PHYS,US",
+    "p10,abc,article,PHYS,",
+    "p11,,article,PHYS,",
+    "p12,2016,article,PHYS,",
+    "p13,2016,letter,PHYS,US",
+    "p14,2016,,PHYS,US",
+    '"p15","2016","review","PHYS","US+usa"',
+    ",,,,",
+    "",
+    "p16, 2016 ,article,PHYS,CN",
+]
+
+
+def assert_same_parse(ours, reference):
+    (corpus, report), (ref_corpus, ref_report) = ours, reference
+    assert corpus == ref_corpus
+    assert report.errors == ref_report.errors
+    assert report.warnings == ref_report.warnings
+    assert report.records_accepted == ref_report.records_accepted
+    assert report.records_rejected == ref_report.records_rejected
+
+
+class TestReferenceParserEquivalence:
+    @pytest.mark.parametrize("line", JSONL_GRID)
+    def test_jsonl_row(self, line):
+        assert_same_parse(parse_jsonl(line), oracle_parse_jsonl(line))
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_jsonl_stream(self, seed, newline):
+        lines = JSONL_GRID[:]
+        random.Random(seed).shuffle(lines)
+        text = newline.join(lines)
+        assert_same_parse(parse_jsonl(text), oracle_parse_jsonl(text))
+        as_file = [line + newline for line in lines]
+        assert_same_parse(parse_jsonl(as_file), oracle_parse_jsonl(as_file))
+
+    @pytest.mark.parametrize("row", CSV_GRID)
+    def test_csv_row(self, row):
+        text = "id,year,doc_type,subjects,author_countries\n" + row
+        assert_same_parse(parse_csv(text), oracle_parse_csv(text))
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_csv_stream(self, seed, newline):
+        rows = CSV_GRID[:]
+        random.Random(seed).shuffle(rows)
+        lines = ["id,year,doc_type,subjects,author_countries", *rows]
+        text = newline.join(lines)
+        assert_same_parse(parse_csv(text), oracle_parse_csv(text))
+        as_file = [line + newline for line in lines]
+        assert_same_parse(parse_csv(as_file), oracle_parse_csv(as_file))
+
+    def test_header_errors_match(self):
+        for text in ["", "id,year\np1,2016", "\n"]:
+            with pytest.raises(SchemaError) as ours:
+                parse_csv(text)
+            with pytest.raises(SchemaError) as reference:
+                oracle_parse_csv(text)
+            assert str(ours.value) == str(reference.value)
+
+
+class TestInterning:
+    TEXT = "\n".join(
+        [
+            _row("a", authors=[{"countries": ["US", "GB"]}, {"countries": ["US"]}]),
+            _row("b", authors=[{"countries": ["US"]}, {"countries": ["US", "GB"]}]),
+            _row("c", authors=[{"countries": ["usa"]}]),
+        ]
+    )
+
+    def test_equal_raw_countries_share_one_author(self):
+        corpus, _ = parse_jsonl(self.TEXT)
+        a, b, c = corpus.records
+        assert a.authors[0] is b.authors[1]
+        assert a.authors[1] is b.authors[0]
+        # a different spelling of the same country set also shares the object
+        assert c.authors[0] is a.authors[1]
+        assert a.subjects is b.subjects
+
+    def test_csv_authors_interned_too(self):
+        corpus, _ = parse_csv(to_csv(parse_jsonl(self.TEXT)[0]))
+        a, b, _ = corpus.records
+        assert a.authors[0] is b.authors[1]
+
+    def test_parse_calls_share_no_memo(self):
+        first, _ = parse_jsonl(self.TEXT)
+        second, _ = parse_jsonl(self.TEXT)
+        assert first.records == second.records
+        assert first.records[0].authors[1] is not second.records[0].authors[1]
+        assert first.records[0].subjects is not second.records[0].subjects
+
+    def test_each_distinct_string_normalized_once(self, monkeypatch):
+        from bibrank import ingest
+
+        calls = []
+        real = ingest.normalize_country
+        monkeypatch.setattr(
+            ingest, "normalize_country", lambda raw: calls.append(raw) or real(raw)
+        )
+        renamed = self.TEXT.replace('"a"', '"x"').replace('"b"', '"y"').replace('"c"', '"z"')
+        parse_jsonl(self.TEXT + "\n" + renamed)
+        assert sorted(calls) == ["GB", "US", "US", "usa"]
+
+
+# ids and subjects from arbitrary Unicode, as the parsers strip them
+_text = st.text(min_size=1, max_size=12).map(str.strip).filter(bool)
+# the csv module before Python 3.11 cannot write NUL without an escapechar
+_csv_text = st.text(
+    alphabet=st.characters(
+        blacklist_categories=("Cs",),
+        blacklist_characters=";|+" + ("\x00" if sys.version_info < (3, 11) else ""),
+    ),
+    min_size=1,
+    max_size=12,
+).map(str.strip).filter(bool)
+
+
+@st.composite
+def hostile_corpora(draw, text=_text):
+    ids = draw(st.lists(text, min_size=1, max_size=6, unique=True))
+    authors = st.lists(st.sampled_from(["US", "GB", "IN"]), max_size=2)
+    records = [
+        rec(
+            rec_id,
+            *draw(st.lists(authors, min_size=1, max_size=3)),
+            subjects=tuple(draw(st.lists(text, max_size=3))),
+        )
+        for rec_id in ids
+    ]
+    return Corpus(tuple(records))
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(hostile_corpora())
+    def test_jsonl_corpus_jsonl(self, corpus):
+        text = to_jsonl(corpus)
+        back, report = parse_jsonl(text)
+        assert report.ok and report.records_accepted == len(corpus)
+        assert to_jsonl(back) == text
+
+    @settings(max_examples=150, deadline=None)
+    @given(hostile_corpora(_csv_text))
+    def test_jsonl_csv_jsonl(self, corpus):
+        text = to_jsonl(corpus)
+        via_csv, _ = parse_csv(to_csv(parse_jsonl(text)[0]))
+        assert to_jsonl(via_csv) == text
 
 
 class TestWriters:
