@@ -65,6 +65,7 @@ from .rankstats import (
     RankTable,
     assign_ranks,
     average_ranks,
+    correlation_matrix,
     pearson,
     spearman,
     spearman_closed_form,
@@ -114,6 +115,7 @@ __all__ = [
     "apply_filter",
     "assign_ranks",
     "average_ranks",
+    "correlation_matrix",
     "countries_of",
     "country_metrics",
     "derive_metrics",

@@ -24,9 +24,8 @@ import json
 import sys
 from contextlib import contextmanager
 from itertools import chain
+from operator import attrgetter
 from typing import Any, Iterable, Iterator, Sequence
-
-import numpy as np
 
 from . import replication
 from .collaboration import ReductionBasis, country_metrics
@@ -50,7 +49,7 @@ from .ingest import (
     to_jsonl,
 )
 from .model import ALL_FIELDS, Corpus, DocType, SubjectScheme, EMPTY_SCHEME
-from .rankstats import assign_ranks, pearson, spearman, srcc_matrix
+from .rankstats import assign_ranks, correlation_matrix, pearson, srcc_matrix
 from .synth import SynthParams, generate
 from .tables import FORMATS, write_table
 
@@ -213,14 +212,46 @@ def _add_method_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _count_table(corpus: Corpus, args: argparse.Namespace) -> ScoreTable:
+def _method(args: argparse.Namespace) -> CountMethod:
+    """The counting method selected by ``--method`` and ``--mode``."""
+    if args.method == "whole":
+        return CountMethod.WHOLE
+    return FractionalMode(args.mode).method
+
+
+def _score_decimals(method: CountMethod) -> int | None:
+    return 0 if method is CountMethod.WHOLE else 2
+
+
+def _write_rows(
+    args: argparse.Namespace,
+    headers: Sequence[str],
+    rows: Sequence[Sequence[Any]],
+    precision: Sequence[int | None] | None = None,
+) -> None:
+    """Render a table in ``--format`` and write it to ``--output``."""
+    _write_output(write_table(headers, rows, args.format, precision=precision), args.output)
+
+
+def _group_count(args: argparse.Namespace) -> ScoreTable:
+    """Load and filter the input, restrict it to ``--group``, then count."""
+    corpus = _filtered_corpus(args)
+    if args.group:
+        corpus = slice_corpus(corpus, args.group)
+    # the public count functions, which perfbench/worker.py wraps by name
     if args.method == "whole":
         return whole_count(corpus)
     return fractional_count(corpus, FractionalMode(args.mode))
 
 
-def _score_decimals(method: CountMethod) -> int | None:
-    return 0 if method is CountMethod.WHOLE else 2
+def _slice_tables(args: argparse.Namespace) -> dict[str, ScoreTable]:
+    """Load and filter the input, then count each of ``--slices``."""
+    corpus = _filtered_corpus(args)
+    names = [tok.strip() for tok in args.slices.split(",") if tok.strip()]
+    if not names:
+        raise UsageError("--slices must name at least one subject group")
+    groups = [ALL_FIELDS if n.lower() == "all" else n for n in names]
+    return subject_group_count(corpus, _method(args), groups)
 
 
 # ---------------------------------------------------------------------------
@@ -229,17 +260,12 @@ def _score_decimals(method: CountMethod) -> int | None:
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
     corpus, report = _load_corpus(args)
-    if args.emit == "jsonl":
-        _write_output(to_jsonl(corpus), args.output)
-    elif args.emit == "csv":
-        _write_output(to_csv(corpus), args.output)
-    else:
+    if args.emit == "report":
         rows = [["error", ref, msg] for ref, msg in report.errors]
         rows += [["warning", ref, msg] for ref, msg in report.warnings]
-        _write_output(
-            write_table(["severity", "record", "message"], rows, args.format),
-            args.output,
-        )
+        _write_rows(args, ["severity", "record", "message"], rows)
+    else:
+        _write_output(to_jsonl(corpus) if args.emit == "jsonl" else to_csv(corpus), args.output)
     print(
         f"accepted {report.records_accepted}, rejected {report.records_rejected}, "
         f"{len(report.errors)} error(s), {len(report.warnings)} warning(s)",
@@ -249,257 +275,176 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    corpus = _filtered_corpus(args)
-    if args.group:
-        corpus = slice_corpus(corpus, args.group)
-    table = _count_table(corpus, args)
+    table = _group_count(args)
     rows = [[c, table.scores[c]] for c in table.countries(include_unresolved=True)]
-    text = write_table(
-        ["country", table.method.value],
-        rows,
-        args.format,
-        precision=[None, _score_decimals(table.method)],
-    )
-    _write_output(text, args.output)
+    precision = [None, _score_decimals(table.method)]
+    _write_rows(args, ["country", table.method.value], rows, precision)
     print(f"{table.records_counted} records counted", file=sys.stderr)
     return 0
 
 
 def _cmd_collab(args: argparse.Namespace) -> int:
     corpus = _filtered_corpus(args)
-    basis = ReductionBasis.FC_BASIS if args.basis == "fc" else ReductionBasis.WC_BASIS
-    metrics = country_metrics(corpus, basis, FractionalMode(args.mode))
+    metrics = country_metrics(corpus, ReductionBasis(args.basis), FractionalMode(args.mode))
     rows = [
         [m.country, m.wc, m.fc, m.icp, m.icp_pct, m.reduction_pct, m.ratio]
         for m in metrics
     ]
-    text = write_table(
+    _write_rows(
+        args,
         ["country", "wc", "fc", "icp", "icp_pct", "reduction_pct", "ratio"],
         rows,
-        args.format,
-        precision=[None, 0, 2, 0, 1, 1, 2],
+        [None, 0, 2, 0, 1, 1, 2],
     )
-    _write_output(text, args.output)
     return 0
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
-    corpus = _filtered_corpus(args)
-    if args.group:
-        corpus = slice_corpus(corpus, args.group)
-    table = _count_table(corpus, args)
+    table = _group_count(args)
     ranked = assign_ranks(table, include_unresolved=args.include_unresolved)
     rows = [[e.rank, e.country, e.score, e.tie_rank] for e in ranked.entries]
-    text = write_table(
-        ["rank", "country", "score", "tie_rank"],
-        rows,
-        args.format,
-        precision=[None, None, _score_decimals(table.method), 1],
-    )
-    _write_output(text, args.output)
+    precision = [None, None, _score_decimals(table.method), 1]
+    _write_rows(args, ["rank", "country", "score", "tie_rank"], rows, precision)
     return 0
 
 
-def _slice_tables(corpus: Corpus, args: argparse.Namespace) -> dict[str, ScoreTable]:
-    method = (
-        CountMethod.WHOLE
-        if args.method == "whole"
-        else (
-            CountMethod.FRACTIONAL_AUTHOR
-            if args.mode == "author"
-            else CountMethod.FRACTIONAL_COUNTRY
-        )
-    )
-    names = [tok.strip() for tok in args.slices.split(",") if tok.strip()]
-    if not names:
-        raise UsageError("--slices must name at least one subject group")
-    groups = [ALL_FIELDS if n.lower() == "all" else n for n in names]
-    return subject_group_count(corpus, method, groups)
-
-
 def _cmd_correlate(args: argparse.Namespace) -> int:
-    corpus = _filtered_corpus(args)
-    tables = _slice_tables(corpus, args)
-    labels = list(tables.keys())
+    tables = _slice_tables(args)
     if args.stat == "spearman":
         matrix = srcc_matrix(tables)
-        values = matrix.values
-        countries = matrix.countries
     else:
-        common: set[str] = set(next(iter(tables.values())).countries())
-        for t in tables.values():
-            common &= set(t.countries())
-        countries = tuple(sorted(common))
-        if len(countries) < 2:
-            raise UndefinedInputError("correlation needs at least two shared countries")
-        values = np.eye(len(labels))
-        for i in range(len(labels)):
-            for j in range(i + 1, len(labels)):
-                values[i, j] = values[j, i] = pearson(
-                    [tables[labels[i]].score(c) for c in countries],
-                    [tables[labels[j]].score(c) for c in countries],
-                )
-    rows = [[label, *[float(v) for v in values[i]]] for i, label in enumerate(labels)]
-    text = write_table(
-        ["group", *labels],
-        rows,
-        args.format,
-        precision=[None] + [3] * len(labels),
-    )
-    _write_output(text, args.output)
-    print(f"correlated over {len(countries)} countries", file=sys.stderr)
+        matrix = correlation_matrix(tables, stat=pearson)
+    labels = matrix.labels
+    rows = [[label, *map(float, values)] for label, values in zip(labels, matrix.values)]
+    _write_rows(args, ["group", *labels], rows, [None] + [3] * len(labels))
+    print(f"correlated over {len(matrix.countries)} countries", file=sys.stderr)
     return 0
 
 
 def _cmd_subjects(args: argparse.Namespace) -> int:
-    corpus = _filtered_corpus(args)
-    method = (
-        CountMethod.WHOLE
-        if args.method == "whole"
-        else (
-            CountMethod.FRACTIONAL_AUTHOR
-            if args.mode == "author"
-            else CountMethod.FRACTIONAL_COUNTRY
-        )
-    )
-    tables = subject_group_count(corpus, method)
-    rows: list[list[Any]] = []
-    for group, table in tables.items():
-        for entry in assign_ranks(table).entries:
-            rows.append([entry.country, group, entry.score, entry.rank])
-    text = write_table(
-        ["country", "group", "tp", "rank"],
-        rows,
-        args.format,
-        precision=[None, None, _score_decimals(method), None],
-    )
-    _write_output(text, args.output)
+    method = _method(args)
+    tables = subject_group_count(_filtered_corpus(args), method)
+    # a group with no country to rank (no record, or only ZZ) gets no rows
+    rows = [
+        [entry.country, group, entry.score, entry.rank]
+        for group, table in tables.items()
+        if table.countries()
+        for entry in assign_ranks(table).entries
+    ]
+    precision = [None, None, _score_decimals(method), None]
+    _write_rows(args, ["country", "group", "tp", "rank"], rows, precision)
     return 0
 
 
+def _yes(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
+def _table2_rows(fixtures: replication.FixtureSet) -> tuple[list[list[Any]], bool]:
+    report = replication.replicate_table2(fixtures)
+    values = attrgetter("reduction_pct", "icp_pct", "ratio")
+    rows = [
+        [r.computed.country, *values(r.computed), *values(r.printed), _yes(r.within_tolerance)]
+        for r in report.rows
+    ]
+    return rows, report.passed
+
+
+def _correlation_rows(fixtures: replication.FixtureSet) -> tuple[list[list[Any]], bool]:
+    report = replication.replicate_rank_correlations(fixtures)
+    rows = [
+        [c.name, c.computed, c.expected_low, c.expected_high, _yes(c.within_tolerance), c.note]
+        for c in report.coefficients
+    ]
+    return rows, report.passed
+
+
+def _table4_rows(fixtures: replication.FixtureSet) -> tuple[list[list[Any]], bool]:
+    report = replication.replicate_table4(fixtures)
+    rows = [
+        [
+            cell.row_group,
+            cell.col_group,
+            cell.computed,
+            cell.printed,
+            cell.delta,
+            cell.avg_rank_spearman,
+            _yes(cell.delta > replication.TOL_CELL),
+        ]
+        for cell in report.cells
+    ]
+    return rows, report.passed
+
+
+def _fig1_rows(fixtures: replication.FixtureSet) -> tuple[list[list[Any]], bool]:
+    curves = replication.fig1_curves(fixtures)
+    rows = [["reduction_pct", c, v] for c, v in curves.reduction_series]
+    rows += [["icp_pct", c, v] for c, v in curves.icp_series]
+    return rows, True
+
+
+def _summary_rows(fixtures: replication.FixtureSet) -> tuple[list[list[Any]], bool]:
+    t2 = replication.replicate_table2(fixtures)
+    rc = replication.replicate_rank_correlations(fixtures)
+    t4 = replication.replicate_table4(fixtures)
+    details = {
+        "table2": (t2, f"{len(t2.failures)} rows out of tolerance"),
+        "correlations": (rc, "; ".join(f"{c.name}={c.computed:.3f}" for c in rc.coefficients)),
+        "table4": (t4, f"{len(t4.outliers)} of {len(t4.cells)} cells beyond per-cell tolerance"),
+    }
+    rows = [[name, _yes(r.passed), detail] for name, (r, detail) in details.items()]
+    return rows, all(r.passed for r, _ in details.values())
+
+
+# replicate --target -> (rows builder returning (rows, passed), headers, precision)
+_REPLICATE_TARGETS = {
+    "table2": (
+        _table2_rows,
+        [
+            "country",
+            "reduction_pct",
+            "icp_pct",
+            "ratio",
+            "printed_reduction_pct",
+            "printed_icp_pct",
+            "printed_ratio",
+            "within_tolerance",
+        ],
+        [None, 1, 1, 2, 1, 1, 2, None],
+    ),
+    "correlations": (
+        _correlation_rows,
+        ["name", "computed", "expected_low", "expected_high", "within_tolerance", "note"],
+        [None, 3, 3, 3, None, None],
+    ),
+    "table4": (
+        _table4_rows,
+        [
+            "row_group",
+            "col_group",
+            "computed",
+            "printed",
+            "delta",
+            "avg_rank_spearman",
+            "outlier",
+        ],
+        [None, None, 3, 3, 3, 3, None],
+    ),
+    "fig1": (_fig1_rows, ["series", "country", "value"], [None, None, 1]),
+    "all": (_summary_rows, ["target", "passed", "detail"], None),
+}
+
+
 def _cmd_replicate(args: argparse.Namespace) -> int:
-    fixtures = replication.load_fixtures()
-    target = args.target
-
-    if target == "table2":
-        report = replication.replicate_table2(fixtures)
-        rows = []
-        for row in report.rows:
-            c, p = row.computed, row.printed
-            rows.append(
-                [
-                    c.country,
-                    c.reduction_pct,
-                    c.icp_pct,
-                    c.ratio,
-                    p.reduction_pct,
-                    p.icp_pct,
-                    p.ratio,
-                    "yes" if row.within_tolerance else "no",
-                ]
-            )
-        text = write_table(
-            [
-                "country",
-                "reduction_pct",
-                "icp_pct",
-                "ratio",
-                "printed_reduction_pct",
-                "printed_icp_pct",
-                "printed_ratio",
-                "within_tolerance",
-            ],
-            rows,
-            args.format,
-            precision=[None, 1, 1, 2, 1, 1, 2, None],
-        )
-        passed = report.passed
-    elif target == "correlations":
-        report = replication.replicate_rank_correlations(fixtures)
-        rows = [
-            [
-                c.name,
-                c.computed,
-                c.expected_low,
-                c.expected_high,
-                "yes" if c.within_tolerance else "no",
-                c.note,
-            ]
-            for c in report.coefficients
-        ]
-        text = write_table(
-            ["name", "computed", "expected_low", "expected_high", "within_tolerance", "note"],
-            rows,
-            args.format,
-            precision=[None, 3, 3, 3, None, None],
-        )
-        passed = report.passed
-    elif target == "table4":
-        report = replication.replicate_table4(fixtures)
-        rows = [
-            [
-                cell.row_group,
-                cell.col_group,
-                cell.computed,
-                cell.printed,
-                cell.delta,
-                cell.avg_rank_spearman,
-                "yes" if cell.delta > replication.TOL_CELL else "no",
-            ]
-            for cell in report.cells
-        ]
-        text = write_table(
-            [
-                "row_group",
-                "col_group",
-                "computed",
-                "printed",
-                "delta",
-                "avg_rank_spearman",
-                "outlier",
-            ],
-            rows,
-            args.format,
-            precision=[None, None, 3, 3, 3, 3, None],
-        )
-        passed = report.passed
-    elif target == "fig1":
-        curves = replication.fig1_curves(fixtures)
-        rows = [["reduction_pct", c, v] for c, v in curves.reduction_series]
-        rows += [["icp_pct", c, v] for c, v in curves.icp_series]
-        text = write_table(
-            ["series", "country", "value"], rows, args.format, precision=[None, None, 1]
-        )
-        passed = True
-    else:
-        t2 = replication.replicate_table2(fixtures)
-        rc = replication.replicate_rank_correlations(fixtures)
-        t4 = replication.replicate_table4(fixtures)
-        rows = [
-            ["table2", "yes" if t2.passed else "no", f"{len(t2.failures)} rows out of tolerance"],
-            [
-                "correlations",
-                "yes" if rc.passed else "no",
-                "; ".join(f"{c.name}={c.computed:.3f}" for c in rc.coefficients),
-            ],
-            [
-                "table4",
-                "yes" if t4.passed else "no",
-                f"{len(t4.outliers)} of {len(t4.cells)} cells beyond per-cell tolerance",
-            ],
-        ]
-        text = write_table(["target", "passed", "detail"], rows, args.format)
-        passed = t2.passed and rc.passed and t4.passed
-
-    _write_output(text, args.output)
+    build_rows, headers, precision = _REPLICATE_TARGETS[args.target]
+    rows, passed = build_rows(replication.load_fixtures())
+    _write_rows(args, headers, rows, precision)
     if not passed:
-        print(f"replication target {target!r} outside tolerance", file=sys.stderr)
+        print(f"replication target {args.target!r} outside tolerance", file=sys.stderr)
     return 0 if passed else 1
 
 
-def _parse_weights(arg: str | None) -> dict[str, float] | None:
-    if arg is None:
-        return None
+def _parse_weights(arg: str) -> dict[str, float]:
     weights = {}
     for tok in arg.split(","):
         tok = tok.strip()
@@ -518,7 +463,6 @@ def _parse_weights(arg: str | None) -> dict[str, float] | None:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    weights = _parse_weights(args.countries)
     kwargs: dict[str, Any] = dict(
         seed=args.seed,
         n_records=args.n_records,
@@ -529,18 +473,15 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         subjects_max=args.subjects_max,
         year=args.year,
     )
-    if weights is not None:
-        kwargs["country_weights"] = weights
+    if args.countries is not None:
+        kwargs["country_weights"] = _parse_weights(args.countries)
     if args.subject_pool is not None:
         pool = tuple(tok.strip() for tok in args.subject_pool.split(",") if tok.strip())
         if not pool:
             raise UsageError("--subject-pool must name at least one subject code")
         kwargs["subject_pool"] = pool
-    try:
-        params = SynthParams(**kwargs)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    corpus = generate(params)
+    # SynthParams raises ValueError on bad knobs, which run() reports as exit 1
+    corpus = generate(SynthParams(**kwargs))
     _write_output(to_jsonl(corpus), args.output)
     print(f"generated {len(corpus)} records (seed {args.seed})", file=sys.stderr)
     return 0
@@ -624,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p, corpus_input=False)
     p.add_argument(
         "--target",
-        choices=["table2", "correlations", "table4", "fig1", "all"],
+        choices=list(_REPLICATE_TARGETS),
         default="all",
         help="which derived quantity to recompute",
     )
@@ -653,10 +594,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return int(args.func(args))
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (SchemaError, UnknownGroupError, UndefinedInputError, ValueError) as exc:
+    except (UsageError, SchemaError, UnknownGroupError, UndefinedInputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

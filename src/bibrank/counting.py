@@ -27,11 +27,10 @@ every score bit-identical under permutation of the input.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import lcm
 from typing import Mapping
 
-from .errors import UnknownGroupError
 from .model import ALL_FIELDS, Corpus, PublicationRecord, UNRESOLVED, countries_of
 
 
@@ -144,6 +143,11 @@ class FractionalMode(enum.Enum):
     AUTHOR = "author"
     COUNTRY = "country"
 
+    @property
+    def method(self) -> CountMethod:
+        """The :class:`CountMethod` that counts with this split."""
+        return CountMethod(f"fractional_{self.value}")
+
 
 def fractional_count(
     corpus: Corpus, mode: FractionalMode = FractionalMode.AUTHOR
@@ -155,12 +159,7 @@ def fractional_count(
     distinct countries. Total credit equals the number of records up to
     float rounding.
     """
-    method = (
-        CountMethod.FRACTIONAL_AUTHOR
-        if mode is FractionalMode.AUTHOR
-        else CountMethod.FRACTIONAL_COUNTRY
-    )
-    return _count(corpus, method, ALL_FIELDS)
+    return _count(corpus, mode.method, ALL_FIELDS)
 
 
 def slice_corpus(corpus: Corpus, group: str) -> Corpus:
@@ -185,14 +184,13 @@ def subject_group_count(
 
     Returns one ScoreTable per group, keyed and labelled by group name.
     ``groups=None`` means ``ALL`` followed by every scheme group in
-    declaration order.
+    declaration order. Unknown group names raise
+    :class:`UnknownGroupError`, from :func:`slice_corpus`.
     """
     if groups is None:
         groups = [ALL_FIELDS, *corpus.scheme.names]
     out: dict[str, ScoreTable] = {}
     for group in groups:
-        if group != ALL_FIELDS and group not in corpus.scheme.names:
-            raise UnknownGroupError(f"unknown subject group {group!r}")
         sliced = slice_corpus(corpus, group)
         out[group] = _count(sliced, method, group)
     return out

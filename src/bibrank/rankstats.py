@@ -17,7 +17,7 @@ is also provided and agrees with it exactly when there are no ties.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -188,11 +188,12 @@ def _scores_for_matrix(table: ScoreTable | RankTable, country: str) -> float:
     raise KeyError(country)
 
 
-def srcc_matrix(
+def correlation_matrix(
     tables: Mapping[str, ScoreTable | RankTable],
     countries: Sequence[str] | None = None,
+    stat: Callable[[Sequence[float], Sequence[float]], float] = spearman,
 ) -> CorrelationMatrix:
-    """Pairwise Spearman correlations across score or rank tables.
+    """Pairwise ``stat`` correlations across score or rank tables.
 
     With ``countries=None`` the comparison set is the countries common to
     every table (``ZZ`` excluded), sorted. Diagonal entries are exactly 1.
@@ -201,10 +202,7 @@ def srcc_matrix(
     if countries is None:
         common: set[str] | None = None
         for table in tables.values():
-            if isinstance(table, ScoreTable):
-                present = set(table.countries())
-            else:
-                present = set(table.countries())
+            present = set(table.countries())
             common = present if common is None else common & present
         countries = sorted(common or ())
     countries = tuple(countries)
@@ -219,7 +217,15 @@ def srcc_matrix(
     values = np.eye(n)
     for i in range(n):
         for j in range(i + 1, n):
-            r = spearman(vectors[labels[i]], vectors[labels[j]])
+            r = stat(vectors[labels[i]], vectors[labels[j]])
             values[i, j] = values[j, i] = r
     values.setflags(write=False)
     return CorrelationMatrix(labels, values, countries)
+
+
+def srcc_matrix(
+    tables: Mapping[str, ScoreTable | RankTable],
+    countries: Sequence[str] | None = None,
+) -> CorrelationMatrix:
+    """Pairwise Spearman correlations; see :func:`correlation_matrix`."""
+    return correlation_matrix(tables, countries)

@@ -9,7 +9,9 @@ The record parsers at the end are the exception: they are frozen copies of
 the straightforward per-row parsers that predate the interning ingest path,
 kept so that the fast path can be checked against them byte for byte. They
 share only the model types, ``normalize_country``, ``ValidationReport`` and
-``SchemaError`` with the package.
+``SchemaError`` with the package. ``oracle_cli_pearson_matrix`` is a frozen
+copy too: it keeps the library's ``pearson`` and checks only that the
+shared-country selection and the matrix fill stay bit-identical.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ import math
 import random
 from fractions import Fraction
 
-from bibrank.errors import SchemaError
+import numpy as np
+
+from bibrank.errors import SchemaError, UndefinedInputError
 from bibrank.ingest import ValidationReport
 from bibrank.model import (
     EMPTY_SCHEME,
@@ -32,6 +36,7 @@ from bibrank.model import (
     is_country_code,
     normalize_country,
 )
+from bibrank.rankstats import pearson
 
 
 def oracle_whole(corpus: Corpus) -> dict[str, int]:
@@ -114,6 +119,27 @@ def oracle_pearson(x: list[float], y: list[float]) -> float:
 
 def oracle_spearman(x: list[float], y: list[float]) -> float:
     return oracle_pearson(oracle_average_ranks(x), oracle_average_ranks(y))
+
+
+def oracle_cli_pearson_matrix(tables) -> np.ndarray:
+    """Frozen copy of the Pearson matrix the CLI's ``correlate`` once built
+    by hand: shared countries ("ZZ" excluded), sorted, then ``pearson`` of
+    each pair of score vectors above a unit diagonal."""
+    labels = list(tables.keys())
+    common: set[str] = set(next(iter(tables.values())).countries())
+    for t in tables.values():
+        common &= set(t.countries())
+    countries = tuple(sorted(common))
+    if len(countries) < 2:
+        raise UndefinedInputError("correlation needs at least two shared countries")
+    values = np.eye(len(labels))
+    for i in range(len(labels)):
+        for j in range(i + 1, len(labels)):
+            values[i, j] = values[j, i] = pearson(
+                [tables[labels[i]].score(c) for c in countries],
+                [tables[labels[j]].score(c) for c in countries],
+            )
+    return values
 
 
 COUNTRY_POOL = ["US", "CN", "GB", "DE", "IN", "JP", "FR", "BR", "NL", "CH"]

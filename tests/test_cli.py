@@ -247,6 +247,30 @@ class TestCorrelateAndSubjects:
         assert "US,ALL,3,1" in lines
         assert "US,phys,2,1" in lines
 
+    def test_subjects_skips_groups_without_ranked_country(
+        self, capsys, tmp_path, mixed_corpus
+    ):
+        # "astro" matches no record; "geo" matches one whose authors are all
+        # unresolved, so its table holds only the ZZ bucket
+        corpus = Corpus(
+            (*mixed_corpus.records, rec("p7", [], subjects=("GEO",))),
+            mixed_corpus.scheme,
+        )
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(to_jsonl(corpus), encoding="utf-8")
+        scheme = tmp_path / "scheme.json"
+        scheme.write_text(
+            json.dumps({"phys": ["PHYS"], "astro": ["ASTRO"], "geo": ["GEO"]}),
+            encoding="utf-8",
+        )
+        code, out, err = invoke(
+            capsys, "subjects", "--input", str(path), "--scheme", str(scheme)
+        )
+        assert code == 0, err
+        groups = {line.split(",")[1] for line in out.splitlines()[1:]}
+        assert groups == {"ALL", "phys"}
+        assert "US,phys,2,1" in out.splitlines()
+
 
 class TestReplicate:
     def test_table2_passes(self, capsys):

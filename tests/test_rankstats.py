@@ -5,18 +5,26 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bibrank.counting import CountMethod, ScoreTable
+from bibrank.counting import CountMethod, ScoreTable, subject_group_count
 from bibrank.errors import UndefinedInputError
+from bibrank.model import ALL_FIELDS, SubjectScheme
 from bibrank.rankstats import (
     assign_ranks,
     average_ranks,
+    correlation_matrix,
     pearson,
     spearman,
     spearman_closed_form,
     srcc_matrix,
 )
 
-from oracles import oracle_average_ranks, oracle_pearson, oracle_spearman
+from oracles import (
+    oracle_average_ranks,
+    oracle_cli_pearson_matrix,
+    oracle_pearson,
+    oracle_spearman,
+    random_corpus,
+)
 
 
 class TestAverageRanks:
@@ -252,6 +260,56 @@ class TestSrccMatrix:
             "b": self._table("b", {"US": 1.0, "GB": 2.0, "FR": 3.0}),
         }
         matrix = srcc_matrix(tables)
+        assert matrix.value("a", "b") == pytest.approx(-1.0)
+
+
+class TestCorrelationMatrix:
+    SCHEME = SubjectScheme(
+        {
+            "phys": frozenset({"PHYS"}),
+            "chem": frozenset({"CHEM", "BIO"}),
+            "life": frozenset({"BIO", "MED"}),
+            "soc": frozenset({"SOC"}),
+        }
+    )
+    SLICE_SETS = (
+        [ALL_FIELDS, "phys", "life"],
+        [ALL_FIELDS, "phys", "chem", "life", "soc"],
+        ["soc", "phys"],
+        ["life"],
+    )
+
+    @pytest.mark.parametrize("method", list(CountMethod))
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_pearson_bit_equal_to_frozen_cli_loop(self, seed, method):
+        corpus = random_corpus(random.Random(seed), 60 + 40 * seed, self.SCHEME)
+        compared = 0
+        for groups in self.SLICE_SETS:
+            tables = subject_group_count(corpus, method, groups)
+            try:
+                expected = oracle_cli_pearson_matrix(tables)
+            except UndefinedInputError:
+                with pytest.raises(UndefinedInputError):
+                    correlation_matrix(tables, stat=pearson)
+                continue
+            got = correlation_matrix(tables, stat=pearson)
+            assert got.labels == tuple(groups)
+            assert got.values.tobytes() == expected.tobytes()
+            compared += 1
+        assert compared >= 3
+
+    def test_default_stat_is_srcc_matrix(self):
+        corpus = random_corpus(random.Random(9), 200, self.SCHEME)
+        tables = subject_group_count(corpus, CountMethod.WHOLE, [ALL_FIELDS, "phys", "life"])
+        a, b = srcc_matrix(tables), correlation_matrix(tables)
+        assert a.values.tobytes() == b.values.tobytes()
+        assert a.countries == b.countries
+
+    def test_explicit_countries(self):
+        t = ScoreTable(CountMethod.WHOLE, "a", {"US": 3.0, "GB": 2.0, "FR": 1.0}, 3)
+        u = ScoreTable(CountMethod.WHOLE, "b", {"US": 1.0, "GB": 2.0, "FR": 9.0}, 3)
+        matrix = correlation_matrix({"a": t, "b": u}, countries=["US", "GB"], stat=pearson)
+        assert matrix.countries == ("US", "GB")
         assert matrix.value("a", "b") == pytest.approx(-1.0)
 
 
