@@ -31,10 +31,9 @@ from bibrank.cli import run
 from bibrank.ingest import to_csv, to_jsonl
 from bibrank.model import AuthorRef, Corpus, DocType
 from bibrank.synth import SynthParams, generate
+from bibrank.tables import FORMATS
 
 GOLDEN = Path(__file__).parent / "golden" / "cli.json"
-
-FORMATS = ("csv", "md", "json")
 
 SCHEME = {
     "phys": ["PHYS", "MATH"],
