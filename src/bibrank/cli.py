@@ -113,7 +113,10 @@ def _load_scheme(path: str | None) -> SubjectScheme:
     if path is None:
         return EMPTY_SCHEME
     with open(path, "r", encoding="utf-8") as f:
-        raw = json.load(f)
+        try:
+            raw = json.load(f)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise SchemaError(f"--scheme file {path!r} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict) or not all(
         isinstance(k, str)
         and isinstance(v, list)
@@ -301,6 +304,8 @@ def _cmd_collab(args: argparse.Namespace) -> int:
 
 def _cmd_rank(args: argparse.Namespace) -> int:
     table = _group_count(args)
+    if args.group and not table.countries(include_unresolved=args.include_unresolved):
+        raise UndefinedInputError(f"subject group {args.group!r} has no country to rank")
     ranked = assign_ranks(table, include_unresolved=args.include_unresolved)
     rows = [[e.rank, e.country, e.score, e.tie_rank] for e in ranked.entries]
     precision = [None, None, _score_decimals(table.method), 1]

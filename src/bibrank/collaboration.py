@@ -16,6 +16,7 @@ fractional count (fc) and international collaborative paper count (icp):
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 
 from .counting import (
@@ -44,15 +45,12 @@ def is_international(record: PublicationRecord) -> bool:
 
 def icp_count(corpus: Corpus) -> ScoreTable:
     """Per-country count of international records (whole-counted)."""
-    scores: dict[str, float] = {}
-    n = 0
-    for record in sorted(corpus.records, key=lambda r: r.id):
-        n += 1
-        if not is_international(record):
-            continue
-        for country in sorted(countries_of(record)):
-            scores[country] = scores.get(country, 0.0) + 1.0
-    return ScoreTable(CountMethod.WHOLE, ALL_FIELDS, dict(sorted(scores.items())), n)
+    # every addend is 1, so the sums are exact whole numbers in any order
+    counts = Counter(
+        c for r in corpus.records if is_international(r) for c in countries_of(r)
+    )
+    scores = {c: float(n) for c, n in sorted(counts.items())}
+    return ScoreTable(CountMethod.WHOLE, ALL_FIELDS, scores, len(corpus.records))
 
 
 def icp_pct(wc: float, icp: float) -> float:

@@ -20,8 +20,11 @@ Per-record fractional shares are computed in integer arithmetic over a
 common denominator (n times the lcm of the authors' country counts) and
 divided exactly once per country, so a single-country record contributes
 exactly 1.0 to that country and accumulation order cannot leak rounding
-differences. Records are always folded in record-id order, which makes
-every score bit-identical under permutation of the input.
+differences. Every count is one sweep over the records in record-id order,
+which makes every score bit-identical under permutation of the input. Each
+record's shares are computed once and added to every requested table it
+belongs to (``ALL`` and any subject groups); unknown group names raise
+before any record is counted.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from math import lcm
+from operator import attrgetter
 from typing import Mapping
 
 from .model import ALL_FIELDS, Corpus, PublicationRecord, UNRESOLVED, countries_of
@@ -77,10 +81,6 @@ class ScoreTable(object):
         )
 
 
-def _sorted_records(corpus: Corpus) -> list[PublicationRecord]:
-    return sorted(corpus.records, key=lambda r: r.id)
-
-
 def _whole_shares(record: PublicationRecord) -> dict[str, float]:
     shares = {c: 1.0 for c in countries_of(record)}
     if any(a.unresolved for a in record.authors):
@@ -121,20 +121,33 @@ _SHARES = {
 }
 
 
-def _count(corpus: Corpus, method: CountMethod, slice_label: str) -> ScoreTable:
+def _sweep(
+    corpus: Corpus, method: CountMethod, groups: list[str]
+) -> dict[str, ScoreTable]:
+    # one (group, its codes or None for ALL, scores) slot per distinct name
+    slots = [
+        (g, None if g == ALL_FIELDS else corpus.scheme.group(g), {})
+        for g in dict.fromkeys(groups)
+    ]
     shares_of = _SHARES[method]
-    scores: dict[str, float] = {}
-    n = 0
-    for record in _sorted_records(corpus):
-        for country, share in sorted(shares_of(record).items()):
-            scores[country] = scores.get(country, 0.0) + share
-        n += 1
-    return ScoreTable(method, slice_label, dict(sorted(scores.items())), n)
+    counted = dict.fromkeys(groups, 0)
+    for record in sorted(corpus.records, key=attrgetter("id")):
+        # one addend per country per record: the order within it is moot
+        shares = shares_of(record).items()
+        for group, codes, scores in slots:
+            if codes is None or not codes.isdisjoint(record.subjects):
+                for country, share in shares:
+                    scores[country] = scores.get(country, 0.0) + share
+                counted[group] += 1
+    return {
+        g: ScoreTable(method, g, dict(sorted(scores.items())), counted[g])
+        for g, _, scores in slots
+    }
 
 
 def whole_count(corpus: Corpus) -> ScoreTable:
     """Count each record once per country appearing on it."""
-    return _count(corpus, CountMethod.WHOLE, ALL_FIELDS)
+    return _sweep(corpus, CountMethod.WHOLE, [ALL_FIELDS])[ALL_FIELDS]
 
 
 class FractionalMode(enum.Enum):
@@ -159,7 +172,7 @@ def fractional_count(
     distinct countries. Total credit equals the number of records up to
     float rounding.
     """
-    return _count(corpus, mode.method, ALL_FIELDS)
+    return _sweep(corpus, mode.method, [ALL_FIELDS])[ALL_FIELDS]
 
 
 def slice_corpus(corpus: Corpus, group: str) -> Corpus:
@@ -184,13 +197,10 @@ def subject_group_count(
 
     Returns one ScoreTable per group, keyed and labelled by group name.
     ``groups=None`` means ``ALL`` followed by every scheme group in
-    declaration order. Unknown group names raise
-    :class:`UnknownGroupError`, from :func:`slice_corpus`.
+    declaration order. All groups are counted in one pass, each table
+    equal to a count of that group's slice alone; unknown group names
+    raise :class:`UnknownGroupError` before any record is counted.
     """
     if groups is None:
         groups = [ALL_FIELDS, *corpus.scheme.names]
-    out: dict[str, ScoreTable] = {}
-    for group in groups:
-        sliced = slice_corpus(corpus, group)
-        out[group] = _count(sliced, method, group)
-    return out
+    return _sweep(corpus, method, groups)

@@ -94,9 +94,22 @@ def _as_lines(source: str | Iterable[str]) -> Iterator[str]:
         yield line.rstrip("\n").rstrip("\r")
 
 
-def _csv_lines(source: str | Iterable[str]) -> Iterable[str]:
+def _csv_rows(
+    source: str | Iterable[str], expected_header: list[str]
+) -> Iterator[tuple[int, list[str]]]:
+    """Check the header row, then yield each non-blank row with its number."""
     # csv.reader needs the line endings to keep newlines inside quoted fields
-    return io.StringIO(source, newline="") if isinstance(source, str) else source
+    reader = csv.reader(io.StringIO(source, newline="") if isinstance(source, str) else source)
+    header = next(reader, None)
+    if header is None:
+        raise SchemaError("empty input: expected a CSV header row")
+    if [h.strip() for h in header] != expected_header:
+        raise SchemaError(
+            f"bad CSV header {header!r}; expected {','.join(expected_header)}"
+        )
+    for rownum, row in enumerate(reader, start=2):
+        if row and any(cell.strip() for cell in row):
+            yield rownum, row
 
 
 class _Batch(object):
@@ -325,20 +338,8 @@ def parse_csv(
     from ``id,year,doc_type,subjects,author_countries`` raises
     :class:`SchemaError`; row-level problems reject only that row.
     """
-    reader = csv.reader(_csv_lines(source))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaError("empty input: expected a CSV header row") from None
-    if [h.strip() for h in header] != CSV_HEADER:
-        raise SchemaError(
-            f"bad CSV header {header!r}; expected {','.join(CSV_HEADER)}"
-        )
-
     batch = _Batch()
-    for rownum, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
+    for rownum, row in _csv_rows(source, CSV_HEADER):
         ref = f"row {rownum}"
         if len(row) != len(CSV_HEADER):
             batch.reject(ref, f"expected {len(CSV_HEADER)} columns, got {len(row)}")
@@ -472,18 +473,7 @@ class GroupRankRow(object):
 def _strict_rows(
     source: str | Iterable[str], expected_header: list[str]
 ) -> Iterable[list[str]]:
-    reader = csv.reader(_csv_lines(source))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaError("empty input: expected a CSV header row") from None
-    if [h.strip() for h in header] != expected_header:
-        raise SchemaError(
-            f"bad header {header!r}; expected {','.join(expected_header)}"
-        )
-    for rownum, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
+    for rownum, row in _csv_rows(source, expected_header):
         if len(row) != len(expected_header):
             raise SchemaError(
                 f"row {rownum}: expected {len(expected_header)} columns, got {len(row)}"

@@ -207,7 +207,10 @@ def correlation_matrix(
         countries = sorted(common or ())
     countries = tuple(countries)
     if len(countries) < 2:
-        raise UndefinedInputError("correlation matrix needs at least two countries")
+        raise UndefinedInputError(
+            "correlation matrix needs at least two countries, got "
+            f"{len(countries)} for slices {', '.join(labels)}"
+        )
 
     vectors = {
         label: [_scores_for_matrix(table, c) for c in countries]

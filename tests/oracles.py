@@ -11,7 +11,12 @@ kept so that the fast path can be checked against them byte for byte. They
 share only the model types, ``normalize_country``, ``ValidationReport`` and
 ``SchemaError`` with the package. ``oracle_cli_pearson_matrix`` is a frozen
 copy too: it keeps the library's ``pearson`` and checks only that the
-shared-country selection and the matrix fill stay bit-identical.
+shared-country selection and the matrix fill stay bit-identical. So are
+the counting passes at the end (``oracle_count``,
+``oracle_subject_group_count``, ``oracle_icp_count``): one id-sorted pass
+per table and one corpus per subject group, kept so that the single
+counting sweep can be checked against them float for float. They share
+the model types, ``countries_of``, ``CountMethod`` and ``ScoreTable``.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from bibrank.counting import CountMethod, ScoreTable
 from bibrank.errors import SchemaError, UndefinedInputError
 from bibrank.ingest import ValidationReport
 from bibrank.model import (
@@ -33,6 +39,7 @@ from bibrank.model import (
     Corpus,
     DocType,
     PublicationRecord,
+    countries_of,
     is_country_code,
     normalize_country,
 )
@@ -376,3 +383,88 @@ def oracle_parse_csv(source, *, scheme=None, provenance="csv"):
         report.records_accepted += 1
 
     return Corpus(tuple(records), scheme or EMPTY_SCHEME, provenance), report
+
+
+# ---------------------------------------------------------------------------
+# reference counting passes: one id-sorted pass per table, one corpus per group
+
+
+def _oracle_whole_shares(record):
+    shares = {c: 1.0 for c in countries_of(record)}
+    if any(a.unresolved for a in record.authors):
+        shares[UNRESOLVED] = 1.0
+    return shares
+
+
+def _oracle_fractional_author_shares(record):
+    n = len(record.authors)
+    ks = [len(a.countries) for a in record.authors]
+    scale = math.lcm(*(k for k in ks if k), 1)
+    denom = n * scale
+    units = {}
+    for author, k in zip(record.authors, ks):
+        if k == 0:
+            units[UNRESOLVED] = units.get(UNRESOLVED, 0) + scale
+            continue
+        per_country = scale // k
+        for country in author.countries:
+            units[country] = units.get(country, 0) + per_country
+    return {c: u / denom for c, u in units.items()}
+
+
+def _oracle_fractional_country_shares(record):
+    countries = countries_of(record)
+    if not countries:
+        return {UNRESOLVED: 1.0}
+    k = len(countries)
+    return {c: 1 / k for c in countries}
+
+
+_ORACLE_SHARES = {
+    CountMethod.WHOLE: _oracle_whole_shares,
+    CountMethod.FRACTIONAL_AUTHOR: _oracle_fractional_author_shares,
+    CountMethod.FRACTIONAL_COUNTRY: _oracle_fractional_country_shares,
+}
+
+
+def oracle_count(corpus, method, slice_label):
+    """Frozen copy of the single-table pass that predates the counting
+    sweep: the corpus sorted by id, each record's shares added in country
+    order."""
+    shares_of = _ORACLE_SHARES[method]
+    scores = {}
+    n = 0
+    for record in sorted(corpus.records, key=lambda r: r.id):
+        for country, share in sorted(shares_of(record).items()):
+            scores[country] = scores.get(country, 0.0) + share
+        n += 1
+    return ScoreTable(method, slice_label, dict(sorted(scores.items())), n)
+
+
+def oracle_subject_group_count(corpus, method=CountMethod.WHOLE, groups=None):
+    """Frozen copy of the per-group loop that predates the counting sweep:
+    each group sliced into a corpus of its own, then counted alone."""
+    if groups is None:
+        groups = ["ALL", *corpus.scheme.names]
+    out = {}
+    for group in groups:
+        sliced = corpus
+        if group != "ALL":
+            codes = corpus.scheme.group(group)
+            kept = tuple(r for r in corpus.records if r.subjects & codes)
+            sliced = Corpus(kept, corpus.scheme, corpus.provenance)
+        out[group] = oracle_count(sliced, method, group)
+    return out
+
+
+def oracle_icp_count(corpus):
+    """Frozen copy of the id-sorted international-record count."""
+    scores = {}
+    n = 0
+    for record in sorted(corpus.records, key=lambda r: r.id):
+        n += 1
+        if not oracle_is_international(record):
+            continue
+        for country in sorted(countries_of(record)):
+            scores[country] = scores.get(country, 0.0) + 1.0
+    return ScoreTable(CountMethod.WHOLE, "ALL", dict(sorted(scores.items())), n)

@@ -65,6 +65,19 @@ class TestExitCodes:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("content", [b"{not json", b'\xff{"phys": ["PHYS"]}'])
+    def test_scheme_file_not_json_names_file_and_flag(
+        self, capsys, corpus_file, tmp_path, content
+    ):
+        path = tmp_path / "broken.json"
+        path.write_bytes(content)
+        code, out, err = invoke(
+            capsys, "count", "--input", corpus_file, "--scheme", str(path)
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: --scheme file {str(path)!r} is not valid JSON: ")
+
 
 class TestIngest:
     def test_report_lists_problems(self, capsys, tmp_path):
@@ -191,6 +204,17 @@ class TestCollabAndRank:
         )
         assert ",ZZ," in out
 
+    def test_group_with_nothing_to_rank_is_named(self, capsys, corpus_file, tmp_path):
+        scheme = tmp_path / "scheme.json"
+        scheme.write_text(json.dumps({"astro": ["ASTRO"]}), encoding="utf-8")
+        argv = ("--input", corpus_file, "--scheme", str(scheme), "--group", "astro")
+        code, out, err = invoke(capsys, "rank", *argv)
+        assert (code, out) == (1, "")
+        assert err == "error: subject group 'astro' has no country to rank\n"
+        # counting the same group still prints its empty table
+        code, out, err = invoke(capsys, "count", *argv)
+        assert (code, out, err) == (0, "country,whole\n", "0 records counted\n")
+
 
 class TestCorrelateAndSubjects:
     def test_correlate_matrix(self, capsys, corpus_file, scheme_file):
@@ -232,6 +256,30 @@ class TestCorrelateAndSubjects:
         )
         assert code == 0
         assert out.splitlines()[0] == "group,ALL,life"
+
+    def test_correlate_names_slices_without_shared_countries(
+        self, capsys, corpus_file, tmp_path
+    ):
+        scheme = tmp_path / "scheme.json"
+        scheme.write_text(json.dumps({"astro": ["ASTRO"]}), encoding="utf-8")
+        for stat in ("spearman", "pearson"):
+            code, out, err = invoke(
+                capsys,
+                "correlate",
+                "--input",
+                corpus_file,
+                "--scheme",
+                str(scheme),
+                "--slices",
+                "all,astro",
+                "--stat",
+                stat,
+            )
+            assert (code, out) == (1, "")
+            assert err == (
+                "error: correlation matrix needs at least two countries, "
+                "got 0 for slices ALL, astro\n"
+            )
 
     def test_correlate_needs_slices(self, capsys, corpus_file):
         code, _, _ = invoke(capsys, "correlate", "--input", corpus_file)

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bibrank import counting
+from bibrank.collaboration import icp_count
 from bibrank.counting import (
     CountMethod,
     FractionalMode,
@@ -15,12 +18,23 @@ from bibrank.counting import (
     whole_count,
 )
 from bibrank.errors import UnknownGroupError
-from bibrank.model import ALL_FIELDS, AuthorRef, Corpus, PublicationRecord, UNRESOLVED
+from bibrank.model import (
+    ALL_FIELDS,
+    UNRESOLVED,
+    AuthorRef,
+    Corpus,
+    PublicationRecord,
+    SubjectScheme,
+)
+from bibrank.synth import SynthParams, generate
 
 from conftest import rec
 from oracles import (
+    oracle_count,
     oracle_fractional_author,
     oracle_fractional_country,
+    oracle_icp_count,
+    oracle_subject_group_count,
     oracle_whole,
     random_corpus,
 )
@@ -216,3 +230,123 @@ def test_counts_match_oracles_on_random_corpora(seed):
         assert set(table.scores) == set(expected)
         for country, share in expected.items():
             assert table.scores[country] == pytest.approx(float(share), abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the counting sweep against the frozen per-table passes it replaced
+
+SWEEP_SCHEME = SubjectScheme(
+    {
+        "phys": frozenset({"PHYS", "CHEM"}),
+        "life": frozenset({"BIO", "MED"}),
+        "health": frozenset({"MED"}),  # inside life
+        "broad": frozenset({"PHYS", "BIO", "SOC"}),  # overlaps phys and life
+        "none": frozenset({"ASTRO"}),  # matches no record
+    }
+)
+
+_WIDE_COUNTRIES = "US CN GB DE IN JP FR IT CA AU ES KR BR NL RU IR CH SE PL TR".split()
+
+
+def _shuffled(corpus: Corpus, seed: int) -> Corpus:
+    records = list(corpus.records)
+    random.Random(seed).shuffle(records)
+    return Corpus(tuple(records), corpus.scheme)
+
+
+def _orphaned(corpus: Corpus) -> Corpus:
+    """Every third record loses all its author countries."""
+    return Corpus(
+        tuple(
+            replace(r, authors=tuple(AuthorRef() for _ in r.authors)) if i % 3 == 0 else r
+            for i, r in enumerate(corpus.records)
+        ),
+        corpus.scheme,
+    )
+
+
+def _sweep_corpora() -> dict[str, Corpus]:
+    messy = random_corpus(random.Random(7), 300, SWEEP_SCHEME)
+    wide = generate(
+        SynthParams(
+            seed=11,
+            n_records=300,
+            country_weights={c: 20.0 - i for i, c in enumerate(_WIDE_COUNTRIES)},
+            authors_max=12,
+            collab_prob=0.6,
+            subject_pool=("PHYS", "CHEM", "BIO", "MED", "SOC"),
+            subjects_min=0,
+            subjects_max=3,
+        )
+    )
+    wide = Corpus(wide.records, SWEEP_SCHEME)
+    no_subjects = Corpus(
+        tuple(replace(r, subjects=frozenset()) for r in messy.records), SWEEP_SCHEME
+    )
+    return {
+        "messy": messy,
+        "messy-shuffled": _shuffled(messy, 1),
+        "wide-shuffled": _shuffled(wide, 2),
+        "wide-orphaned": _orphaned(wide),
+        "no-subjects": no_subjects,
+        "empty": Corpus((), SWEEP_SCHEME),
+    }
+
+
+SWEEP_CORPORA = _sweep_corpora()
+SWEEP_GROUPS = [
+    None,
+    [ALL_FIELDS],
+    ["none", "phys", ALL_FIELDS],
+    ["life", "health", "life", ALL_FIELDS, "broad", "life"],
+    [],
+]
+
+
+def _assert_same_table(new, old):
+    # repr pins the key order and every float's exact value
+    assert new == old
+    assert repr(new) == repr(old)
+
+
+class TestSweepMatchesFrozenPasses:
+    @pytest.mark.parametrize("name", SWEEP_CORPORA)
+    @pytest.mark.parametrize("method", list(CountMethod))
+    @pytest.mark.parametrize("groups", SWEEP_GROUPS, ids=repr)
+    def test_subject_group_count(self, name, method, groups):
+        corpus = SWEEP_CORPORA[name]
+        new = subject_group_count(corpus, method, groups)
+        old = oracle_subject_group_count(corpus, method, groups)
+        assert list(new) == list(old)
+        for group in old:
+            _assert_same_table(new[group], old[group])
+
+    @pytest.mark.parametrize("name", SWEEP_CORPORA)
+    def test_whole_fractional_and_icp(self, name):
+        corpus = SWEEP_CORPORA[name]
+        _assert_same_table(
+            whole_count(corpus), oracle_count(corpus, CountMethod.WHOLE, ALL_FIELDS)
+        )
+        for mode in FractionalMode:
+            _assert_same_table(
+                fractional_count(corpus, mode), oracle_count(corpus, mode.method, ALL_FIELDS)
+            )
+        _assert_same_table(icp_count(corpus), oracle_icp_count(corpus))
+
+    def test_corpora_cover_the_hard_shapes(self):
+        records = [r for c in SWEEP_CORPORA.values() for r in c.records]
+        assert any(len(r.authors) > 6 for r in records)
+        assert any(not r.subjects for r in records)
+        assert any(all(a.unresolved for a in r.authors) for r in records)
+        assert any(r.subjects >= {"MED", "PHYS"} for r in records)
+        assert not any("ASTRO" in r.subjects for r in records)
+
+    def test_unknown_group_raises_before_counting(self, monkeypatch):
+        def no_shares(record):
+            raise AssertionError("counted a record before checking the groups")
+
+        monkeypatch.setitem(counting._SHARES, CountMethod.WHOLE, no_shares)
+        with pytest.raises(UnknownGroupError):
+            subject_group_count(
+                SWEEP_CORPORA["messy"], CountMethod.WHOLE, [ALL_FIELDS, "nope"]
+            )

@@ -312,6 +312,15 @@ class TestCorrelationMatrix:
         assert matrix.countries == ("US", "GB")
         assert matrix.value("a", "b") == pytest.approx(-1.0)
 
+    def test_too_few_shared_countries_names_the_slices(self):
+        t = ScoreTable(CountMethod.WHOLE, "a", {"US": 3.0, "GB": 2.0}, 3)
+        u = ScoreTable(CountMethod.WHOLE, "b", {"US": 1.0, "FR": 9.0}, 3)
+        with pytest.raises(UndefinedInputError) as info:
+            correlation_matrix({"a": t, "b": u})
+        assert str(info.value) == (
+            "correlation matrix needs at least two countries, got 1 for slices a, b"
+        )
+
 
 class TestAgainstScipy:
     """scipy.stats as a second, independently written oracle."""
