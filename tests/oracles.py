@@ -17,11 +17,16 @@ the counting passes at the end (``oracle_count``,
 per table and one corpus per subject group, kept so that the single
 counting sweep can be checked against them float for float. They share
 the model types, ``countries_of``, ``CountMethod`` and ``ScoreTable``.
+``oracle_generate``, ``oracle_to_jsonl`` and ``oracle_to_csv`` at the very
+end are frozen copies of the synthetic generator and the record writers
+from before their fast paths, kept so that the generated and written bytes
+can be checked against them. They share only the model types and numpy.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import random
@@ -468,3 +473,108 @@ def oracle_icp_count(corpus):
         for country in sorted(countries_of(record)):
             scores[country] = scores.get(country, 0.0) + 1.0
     return ScoreTable(CountMethod.WHOLE, "ALL", dict(sorted(scores.items())), n)
+
+
+# ---------------------------------------------------------------------------
+# reference generator and writers: one numpy draw call and one encode per record
+
+
+def oracle_generate(params, scheme=None):
+    """Frozen copy of ``synth.generate`` as it was before its weighted
+    draws were ported off ``Generator.choice``: one ``rng.choice(...,
+    p=probs)`` call per country draw and fresh author and subject objects
+    for every record. The faster generator must write the same bytes."""
+    rng = np.random.Generator(np.random.PCG64(params.seed))
+    countries = sorted(params.country_weights)
+    weights = np.array([params.country_weights[c] for c in countries], dtype=float)
+    probs = weights / weights.sum()
+
+    records = []
+    for i in range(params.n_records):
+        n_authors = int(rng.integers(params.authors_min, params.authors_max + 1))
+        international = bool(rng.random() < params.collab_prob)
+        if international:
+            pick = rng.choice(len(countries), size=2, replace=False, p=probs)
+            c1, c2 = countries[int(pick[0])], countries[int(pick[1])]
+            if n_authors == 1:
+                author_sets = [(c1, c2)]
+            else:
+                author_sets = [(c1,), (c2,)]
+                for _ in range(n_authors - 2):
+                    author_sets.append((c1,) if rng.random() < 0.5 else (c2,))
+        else:
+            home = countries[int(rng.choice(len(countries), p=probs))]
+            author_sets = [(home,)] * n_authors
+
+        n_subjects = int(rng.integers(params.subjects_min, params.subjects_max + 1))
+        if n_subjects:
+            picked = rng.choice(len(params.subject_pool), size=n_subjects, replace=False)
+            subjects = frozenset(params.subject_pool[int(j)] for j in picked)
+        else:
+            subjects = frozenset()
+
+        records.append(
+            PublicationRecord(
+                id=f"s{i:07d}",
+                year=params.year,
+                doc_type=DocType.ARTICLE,
+                subjects=subjects,
+                authors=tuple(AuthorRef(frozenset(cs)) for cs in author_sets),
+            )
+        )
+
+    return Corpus(
+        tuple(records),
+        scheme or EMPTY_SCHEME,
+        provenance=f"synth(seed={params.seed})",
+    )
+
+
+def _oracle_check_clean(value, what, reserved):
+    for ch in reserved:
+        if ch in value:
+            raise ValueError(
+                f"{what} {value!r} contains reserved delimiter {ch!r}; "
+                "cannot be serialized losslessly"
+            )
+    return value
+
+
+def oracle_to_jsonl(corpus):
+    """Frozen copy of the per-record ``json.dumps`` writer that predates
+    the memoized cells of ``ingest.to_jsonl``."""
+    lines = []
+    for record in corpus.records:
+        obj = {
+            "id": record.id,
+            "year": record.year,
+            "doc_type": record.doc_type.value,
+            "subjects": sorted(record.subjects),
+            "authors": [{"countries": sorted(a.countries)} for a in record.authors],
+        }
+        lines.append(json.dumps(obj, separators=(",", ":"), ensure_ascii=False))
+    return "".join(line + "\n" for line in lines)
+
+
+def oracle_to_csv(corpus):
+    """Frozen copy of the per-record CSV writer that predates the memoized
+    cells of ``ingest.to_csv``: every code checked on every record."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    quoting_writer = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    writer.writerow(_ORACLE_CSV_HEADER)
+    for record in corpus.records:
+        subjects = ";".join(
+            _oracle_check_clean(s, "subject code", ";|+") for s in sorted(record.subjects)
+        )
+        authors = "|".join(
+            "+".join(_oracle_check_clean(c, "country code", ";|+") for c in sorted(a.countries))
+            or UNRESOLVED
+            for a in record.authors
+        )
+        row = [record.id, record.year, record.doc_type.value, subjects, authors]
+        if "\r" in record.id or "\r" in subjects or "\r" in authors:
+            quoting_writer.writerow(row)
+        else:
+            writer.writerow(row)
+    return buf.getvalue()

@@ -18,11 +18,11 @@ from bibrank.ingest import (
     to_csv,
     to_jsonl,
 )
-from bibrank.model import Corpus, DocType
+from bibrank.model import AuthorRef, Corpus, DocType, PublicationRecord
 from bibrank.tables import format_number, write_table
 
 from conftest import rec
-from oracles import oracle_parse_csv, oracle_parse_jsonl
+from oracles import oracle_parse_csv, oracle_parse_jsonl, oracle_to_csv, oracle_to_jsonl
 
 MINIMAL = '{"id":"p1","year":2016,"doc_type":"article","subjects":["PHYS"],"authors":[{"countries":["IN"]}]}'
 
@@ -397,6 +397,77 @@ class TestRoundTripProperty:
         text = to_jsonl(corpus)
         via_csv, _ = parse_csv(to_csv(parse_jsonl(text)[0]))
         assert to_jsonl(via_csv) == text
+
+
+def _outcome(write, corpus):
+    """What a writer returns, or the type and message of what it raises."""
+    try:
+        return write(corpus)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+_unicode = st.text(max_size=8)
+# ids that are not stripped: a parse never yields them, but a writer must
+# still write them as it always did
+_hostile_id = st.one_of(_unicode, st.sampled_from(["p\u2028", "p\r1", " \r", "\u2029\x85"]))
+_country = st.one_of(st.sampled_from(["US", "GB", "IN", "FR", ""]), _unicode)
+
+
+@st.composite
+def writer_corpora(draw):
+    """Records with arbitrary text everywhere, empty author sets, and authors
+    that are shared between records or built afresh for each slot."""
+    countries = st.frozensets(_country, max_size=3)
+    shared = [AuthorRef(cs) for cs in draw(st.lists(countries, min_size=1, max_size=4))]
+    slot = st.one_of(st.sampled_from(shared), countries.map(AuthorRef))
+    ids = draw(st.lists(_hostile_id, max_size=6, unique=True))
+    records = [
+        PublicationRecord(
+            id=rec_id,
+            year=draw(st.integers(-5, 3000)),
+            doc_type=draw(st.sampled_from(DocType)),
+            subjects=draw(st.frozensets(_unicode, max_size=3)),
+            authors=tuple(draw(st.lists(slot, max_size=4))),
+        )
+        for rec_id in ids
+    ]
+    return Corpus(tuple(records))
+
+
+class TestWritersMatchFrozenCopies:
+    @settings(max_examples=300, deadline=None)
+    @given(writer_corpora())
+    def test_jsonl_bytes(self, corpus):
+        assert _outcome(to_jsonl, corpus) == _outcome(oracle_to_jsonl, corpus)
+
+    @settings(max_examples=300, deadline=None)
+    @given(writer_corpora())
+    def test_csv_bytes(self, corpus):
+        assert _outcome(to_csv, corpus) == _outcome(oracle_to_csv, corpus)
+
+    @pytest.mark.parametrize("ch", ";|+")
+    @pytest.mark.parametrize("where", ["subject", "country", "both"])
+    def test_reserved_delimiter_reported_on_first_record_holding_it(self, ch, where):
+        def holding(rec_id, value):
+            subjects = ("B", value) if where != "country" else ("A",)
+            second = ["GB", value] if where != "subject" else ["GB"]
+            return rec(rec_id, ["US"], second, subjects=subjects)
+
+        corpus = Corpus(
+            (
+                rec("p1", ["US"], subjects=("A",)),
+                holding("p2", f"X{ch}2"),
+                holding("p3", f"X{ch}3"),
+            )
+        )
+        what = "country code" if where == "country" else "subject code"
+        message = (
+            f"{what} 'X{ch}2' contains reserved delimiter {ch!r}; "
+            "cannot be serialized losslessly"
+        )
+        assert _outcome(to_csv, corpus) == (ValueError, message)
+        assert _outcome(oracle_to_csv, corpus) == (ValueError, message)
 
 
 class TestWriters:

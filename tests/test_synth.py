@@ -7,6 +7,8 @@ from bibrank.ingest import parse_jsonl, to_jsonl
 from bibrank.model import DocType
 from bibrank.synth import SynthParams, generate
 
+from oracles import oracle_generate, oracle_to_jsonl
+
 
 class TestParams:
     def test_empty_weights_rejected(self):
@@ -103,3 +105,49 @@ class TestGenerate:
         assert report.ok
         assert not report.warnings
         assert parsed.records == corpus.records
+
+
+# 60 countries with Zipf-like weights and a 16-code subject pool
+ZIPF_WEIGHTS = {
+    f"{chr(65 + rank // 26)}{chr(65 + rank % 26)}": 1000.0 / (rank + 1) ** 1.1
+    for rank in range(60)
+}
+POOL_16 = tuple(f"S{j:02d}" for j in range(16))
+# one country so rare that an international record only gets it when the
+# first two picks coincide and the second is drawn again without the first
+RARE = {"AA": 1.0, "ZY": 1e-9}
+
+GATE_PARAMS = {
+    "defaults": {},
+    "wide": dict(authors_max=12, collab_prob=0.5),
+    "zipf-60": dict(
+        country_weights=ZIPF_WEIGHTS, subject_pool=POOL_16, subjects_max=3,
+        authors_max=12, collab_prob=0.5,
+    ),
+    "single-author-international": dict(authors_min=1, authors_max=1, collab_prob=0.9),
+    "subjects-min-0": dict(subjects_min=0),
+    "collab-0": dict(collab_prob=0.0),
+    "collab-1": dict(collab_prob=1.0),
+    "rare-redraw": dict(country_weights=RARE, collab_prob=0.5),
+    "empty": dict(n_records=0),
+}
+
+
+class TestGeneratorGate:
+    """The generator writes the bytes of ``oracles.oracle_generate``."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+    @pytest.mark.parametrize("name", sorted(GATE_PARAMS))
+    def test_same_bytes_as_frozen_generator(self, name, seed):
+        kwargs = {"n_records": 300, **GATE_PARAMS[name]}
+        params = SynthParams(seed=seed, **kwargs)
+        assert oracle_to_jsonl(generate(params)) == oracle_to_jsonl(oracle_generate(params))
+
+    def test_grid_reaches_the_redraw(self):
+        # every first pick is AA but one in ~1e9, so each international
+        # record that holds ZY got it from the second draw
+        corpus = generate(SynthParams(seed=0, n_records=300, **GATE_PARAMS["rare-redraw"]))
+        international = [r for r in corpus if is_international(r)]
+        assert international
+        for record in international:
+            assert {c for a in record.authors for c in a.countries} == {"AA", "ZY"}
