@@ -123,8 +123,13 @@ def _load_scheme(path: str | None) -> SubjectScheme:
         and all(isinstance(c, str) for c in v)
         for k, v in raw.items()
     ):
-        raise SchemaError("scheme file must map group names to arrays of subject codes")
-    return SubjectScheme({k: frozenset(v) for k, v in raw.items()})
+        raise SchemaError(
+            f"--scheme file {path!r} must map group names to arrays of subject codes"
+        )
+    try:
+        return SubjectScheme({k: frozenset(v) for k, v in raw.items()})
+    except ValueError as exc:  # an empty or reserved group name
+        raise SchemaError(f"--scheme file {path!r}: {exc}") from None
 
 
 def _parse_years(arg: str | None) -> set[int] | None:
@@ -304,8 +309,9 @@ def _cmd_collab(args: argparse.Namespace) -> int:
 
 def _cmd_rank(args: argparse.Namespace) -> int:
     table = _group_count(args)
-    if args.group and not table.countries(include_unresolved=args.include_unresolved):
-        raise UndefinedInputError(f"subject group {args.group!r} has no country to rank")
+    if not table.countries(include_unresolved=args.include_unresolved):
+        what = f"subject group {args.group!r}" if args.group else f"input {args.input!r}"
+        raise UndefinedInputError(f"{what} has no country to rank")
     ranked = assign_ranks(table, include_unresolved=args.include_unresolved)
     rows = [[e.rank, e.country, e.score, e.tie_rank] for e in ranked.entries]
     precision = [None, None, _score_decimals(table.method), 1]

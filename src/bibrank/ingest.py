@@ -373,23 +373,53 @@ def _check_clean(value: str, what: str, reserved: str) -> str:
     return value
 
 
+class _Cells(dict):
+    """Per-call memo of serialized cells: ``build(key)`` runs once per distinct key.
+
+    Equal keys serialize to equal text, so records that share a subject set
+    or an author country set share its cell, and any check inside ``build``
+    runs on the first record holding the value.
+    """
+
+    def __init__(self, build: Callable[[Any], str]) -> None:
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key: Any) -> str:
+        cell = self[key] = self.build(key)
+        return cell
+
+
 def to_jsonl(corpus: Corpus) -> str:
     """Serialize a corpus to JSONL, one record per line.
 
     Subjects and per-author countries are emitted sorted so that equal
     corpora serialize to identical bytes.
     """
-    lines = []
-    for record in corpus.records:
-        obj = {
-            "id": record.id,
-            "year": record.year,
-            "doc_type": record.doc_type.value,
-            "subjects": sorted(record.subjects),
-            "authors": [{"countries": sorted(a.countries)} for a in record.authors],
-        }
-        lines.append(json.dumps(obj, separators=(",", ":"), ensure_ascii=False))
-    return "".join(line + "\n" for line in lines)
+    # each line is the text json.dumps(obj, separators=(",", ":"),
+    # ensure_ascii=False) gives for the record object, assembled from cells
+    # encoded the same way; authors are keyed by their country sets, whose
+    # hash a frozenset caches, rather than by the AuthorRef tuple
+    encode = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
+    # the year's class is part of the key: True == 1 and 2016.0 == 2016
+    # compare equal but encode differently
+    middle = _Cells(lambda key: f'"year":{encode(key[1])},"doc_type":{encode(key[2].value)}')
+    subjects = _Cells(lambda codes: encode(sorted(codes)))
+    authors = _Cells(lambda countries: encode({"countries": sorted(countries)}))
+    return "".join(
+        f'{{"id":{encode(r.id)},{middle[r.year.__class__, r.year, r.doc_type]},'
+        f'"subjects":{subjects[r.subjects]},'
+        f'"authors":[{",".join([authors[a.countries] for a in r.authors])}]}}\n'
+        for r in corpus.records
+    )
+
+
+def _csv_subjects(codes: frozenset[str]) -> str:
+    return ";".join(_check_clean(s, "subject code", ";|+") for s in sorted(codes))
+
+
+def _csv_author(countries: frozenset[str]) -> str:
+    return "+".join(_check_clean(c, "country code", ";|+") for c in sorted(countries)) or UNRESOLVED
 
 
 def to_csv(corpus: Corpus) -> str:
@@ -404,15 +434,11 @@ def to_csv(corpus: Corpus) -> str:
     # but its reader also ends a row at a bare "\r": quote such rows whole
     quoting_writer = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
     writer.writerow(CSV_HEADER)
+    subject_cells = _Cells(_csv_subjects)
+    author_cells = _Cells(_csv_author)
     for record in corpus.records:
-        subjects = ";".join(
-            _check_clean(s, "subject code", ";|+") for s in sorted(record.subjects)
-        )
-        authors = "|".join(
-            "+".join(_check_clean(c, "country code", ";|+") for c in sorted(a.countries))
-            or UNRESOLVED
-            for a in record.authors
-        )
+        subjects = subject_cells[record.subjects]
+        authors = "|".join([author_cells[a.countries] for a in record.authors])
         row = [record.id, record.year, record.doc_type.value, subjects, authors]
         if "\r" in record.id or "\r" in subjects or "\r" in authors:
             quoting_writer.writerow(row)

@@ -4,6 +4,14 @@ Generation is fully deterministic given the seed: the generator is
 numpy's PCG64 (a well-documented 64-bit PRNG with a reproducible stream
 across platforms), and every draw happens in a fixed order per record.
 
+The weighted country draws reproduce numpy's ``Generator.choice(...,
+p=...)`` stream without calling it per record: the cumulative weights are
+built once per call the way ``choice`` builds them, and each pick is a
+bisection of one ``Generator.random()`` draw. Within one corpus, authors
+with the same countries share one :class:`AuthorRef` and records with the
+same subject pick share one subject set; both are frozen, so the sharing
+is safe.
+
 Each record flips one biased coin for "international". A domestic record
 draws one country and gives it to every author. An international record
 draws two distinct countries and guarantees both appear: the first author
@@ -14,6 +22,7 @@ author affiliated with both countries.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,6 +85,14 @@ class SynthParams(object):
             raise ValueError("international records need at least two countries")
 
 
+def _cdf(probs: np.ndarray) -> list[float]:
+    # as Generator.choice builds it, so bisecting a uniform draw picks what
+    # choice's searchsorted picks
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
 def generate(params: SynthParams, scheme: SubjectScheme | None = None) -> Corpus:
     """Produce a deterministic synthetic corpus.
 
@@ -86,28 +103,55 @@ def generate(params: SynthParams, scheme: SubjectScheme | None = None) -> Corpus
     countries = sorted(params.country_weights)
     weights = np.array([params.country_weights[c] for c in countries], dtype=float)
     probs = weights / weights.sum()
+    if params.n_records:
+        # the checks and errors of the Generator.choice calls the draws
+        # below replace, on a generator of its own so the stream is untouched
+        np.random.Generator(np.random.PCG64(0)).choice(len(countries), p=probs)
+    cdf = _cdf(probs)
+    # per country: the CDF with that country's weight set to zero
+    cdf_without: dict[int, list[float]] = {}
+    singles = [AuthorRef(frozenset((c,))) for c in countries]
+    pairs: dict[tuple[int, int], AuthorRef] = {}
+    pool = params.subject_pool
+    subject_sets: dict[tuple[int, ...], frozenset[str]] = {}
 
     records = []
     for i in range(params.n_records):
         n_authors = int(rng.integers(params.authors_min, params.authors_max + 1))
-        international = bool(rng.random() < params.collab_prob)
-        if international:
-            pick = rng.choice(len(countries), size=2, replace=False, p=probs)
-            c1, c2 = countries[int(pick[0])], countries[int(pick[1])]
+        if rng.random() < params.collab_prob:
+            # choice(size=2, replace=False, p=probs): two uniforms, then
+            # while the picks coincide one more against the CDF without
+            # the first pick, as numpy's loop draws them
+            first = bisect_right(cdf, rng.random())
+            second = bisect_right(cdf, rng.random())
+            while second == first:
+                if first not in cdf_without:
+                    remaining = probs.copy()
+                    remaining[first] = 0
+                    if not remaining.any():
+                        raise ValueError("Fewer non-zero entries in p than size")
+                    cdf_without[first] = _cdf(remaining)
+                second = bisect_right(cdf_without[first], rng.random())
             if n_authors == 1:
-                author_sets = [(c1, c2)]
+                both = pairs.get((first, second))
+                if both is None:
+                    both = pairs[first, second] = AuthorRef(
+                        frozenset((countries[first], countries[second]))
+                    )
+                authors = [both]
             else:
-                author_sets = [(c1,), (c2,)]
+                authors = [singles[first], singles[second]]
                 for _ in range(n_authors - 2):
-                    author_sets.append((c1,) if rng.random() < 0.5 else (c2,))
+                    authors.append(singles[first] if rng.random() < 0.5 else singles[second])
         else:
-            home = countries[int(rng.choice(len(countries), p=probs))]
-            author_sets = [(home,)] * n_authors
+            authors = [singles[bisect_right(cdf, rng.random())]] * n_authors
 
         n_subjects = int(rng.integers(params.subjects_min, params.subjects_max + 1))
         if n_subjects:
-            picked = rng.choice(len(params.subject_pool), size=n_subjects, replace=False)
-            subjects = frozenset(params.subject_pool[int(j)] for j in picked)
+            picked = tuple(rng.choice(len(pool), size=n_subjects, replace=False).tolist())
+            subjects = subject_sets.get(picked)
+            if subjects is None:
+                subjects = subject_sets[picked] = frozenset(pool[j] for j in picked)
         else:
             subjects = frozenset()
 
@@ -117,7 +161,7 @@ def generate(params: SynthParams, scheme: SubjectScheme | None = None) -> Corpus
                 year=params.year,
                 doc_type=DocType.ARTICLE,
                 subjects=subjects,
-                authors=tuple(AuthorRef(frozenset(cs)) for cs in author_sets),
+                authors=tuple(authors),
             )
         )
 

@@ -78,6 +78,26 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith(f"error: --scheme file {str(path)!r} is not valid JSON: ")
 
+    @pytest.mark.parametrize(
+        "content, problem",
+        [
+            ('{"phys": "PHYS"}', " must map group names to arrays of subject codes"),
+            ('["PHYS"]', " must map group names to arrays of subject codes"),
+            ('{" ": ["PHYS"]}', ": subject group name must be non-empty"),
+            ('{"ALL": ["PHYS"]}', ": group name 'ALL' is reserved for the unrestricted slice"),
+        ],
+    )
+    def test_scheme_file_of_wrong_shape_names_file_and_flag(
+        self, capsys, corpus_file, tmp_path, content, problem
+    ):
+        path = tmp_path / "shape.json"
+        path.write_text(content, encoding="utf-8")
+        code, out, err = invoke(
+            capsys, "count", "--input", corpus_file, "--scheme", str(path)
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: --scheme file {str(path)!r}{problem}\n"
+
 
 class TestIngest:
     def test_report_lists_problems(self, capsys, tmp_path):
@@ -212,6 +232,17 @@ class TestCollabAndRank:
         assert (code, out) == (1, "")
         assert err == "error: subject group 'astro' has no country to rank\n"
         # counting the same group still prints its empty table
+        code, out, err = invoke(capsys, "count", *argv)
+        assert (code, out, err) == (0, "country,whole\n", "0 records counted\n")
+
+    @pytest.mark.parametrize("filters", [(), ("--years", "1999")])
+    def test_input_with_nothing_to_rank_is_named(self, capsys, tmp_path, mixed_corpus, filters):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(to_jsonl(mixed_corpus) if filters else "", encoding="utf-8")
+        argv = ("--input", str(path), *filters)
+        code, out, err = invoke(capsys, "rank", *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: input {str(path)!r} has no country to rank\n"
         code, out, err = invoke(capsys, "count", *argv)
         assert (code, out, err) == (0, "country,whole\n", "0 records counted\n")
 

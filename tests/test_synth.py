@@ -151,3 +151,32 @@ class TestGeneratorGate:
         assert international
         for record in international:
             assert {c for a in record.authors for c in a.countries} == {"AA", "ZY"}
+
+    def test_authors_are_shared_within_one_corpus(self):
+        params = SynthParams(seed=3, n_records=200)
+        first, second = generate(params), generate(params)
+        assert first.records[0].authors[0] is first.records[0].authors[-1]
+        refs = {id(a) for r in first for a in r.authors}
+        assert len(refs) < sum(len(r.authors) for r in first)
+        assert first.records[0].authors[0] is not second.records[0].authors[0]
+
+    @pytest.mark.parametrize(
+        "weights, collab_prob",
+        [
+            # the second weight underflows to zero once normalized
+            ({"AA": 1e300, "ZY": 1e-300}, 0.5),
+            ({"AA": 1e300, "ZY": 1e-300}, 0.0),
+            # the sum overflows, so every normalized weight is zero or NaN
+            ({"AA": 1e308, "ZY": 1e308}, 0.5),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_weights_numpy_rejects_fail_as_before(self, weights, collab_prob):
+        params = SynthParams(seed=1, n_records=5, country_weights=weights, collab_prob=collab_prob)
+        outcomes = []
+        for build in (generate, oracle_generate):
+            try:
+                outcomes.append(oracle_to_jsonl(build(params)))
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
