@@ -419,7 +419,8 @@ def _csv_subjects(codes: frozenset[str]) -> str:
 
 
 def _csv_author(countries: frozenset[str]) -> str:
-    return "+".join(_check_clean(c, "country code", ";|+") for c in sorted(countries)) or UNRESOLVED
+    cleaned = (_check_clean(c, "country code", ";|+") for c in sorted(countries))
+    return "+".join(cleaned) or UNRESOLVED
 
 
 def to_csv(corpus: Corpus) -> str:

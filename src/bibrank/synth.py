@@ -111,7 +111,7 @@ def generate(params: SynthParams, scheme: SubjectScheme | None = None) -> Corpus
     # per country: the CDF with that country's weight set to zero
     cdf_without: dict[int, list[float]] = {}
     singles = [AuthorRef(frozenset((c,))) for c in countries]
-    pairs: dict[tuple[int, int], AuthorRef] = {}
+    binational: dict[frozenset[str], AuthorRef] = {}
     pool = params.subject_pool
     subject_sets: dict[tuple[int, ...], frozenset[str]] = {}
 
@@ -133,12 +133,8 @@ def generate(params: SynthParams, scheme: SubjectScheme | None = None) -> Corpus
                     cdf_without[first] = _cdf(remaining)
                 second = bisect_right(cdf_without[first], rng.random())
             if n_authors == 1:
-                both = pairs.get((first, second))
-                if both is None:
-                    both = pairs[first, second] = AuthorRef(
-                        frozenset((countries[first], countries[second]))
-                    )
-                authors = [both]
+                both = frozenset((countries[first], countries[second]))
+                authors = [binational.get(both) or binational.setdefault(both, AuthorRef(both))]
             else:
                 authors = [singles[first], singles[second]]
                 for _ in range(n_authors - 2):
@@ -149,9 +145,9 @@ def generate(params: SynthParams, scheme: SubjectScheme | None = None) -> Corpus
         n_subjects = int(rng.integers(params.subjects_min, params.subjects_max + 1))
         if n_subjects:
             picked = tuple(rng.choice(len(pool), size=n_subjects, replace=False).tolist())
-            subjects = subject_sets.get(picked)
-            if subjects is None:
-                subjects = subject_sets[picked] = frozenset(pool[j] for j in picked)
+            subjects = subject_sets.get(picked) or subject_sets.setdefault(
+                picked, frozenset(pool[j] for j in picked)
+            )
         else:
             subjects = frozenset()
 

@@ -446,6 +446,16 @@ class TestWritersMatchFrozenCopies:
     def test_csv_bytes(self, corpus):
         assert _outcome(to_csv, corpus) == _outcome(oracle_to_csv, corpus)
 
+    def test_years_that_compare_equal_keep_their_own_text(self):
+        # True == 1 == 1.0, but json writes true, 1 and 1.0
+        records = [
+            PublicationRecord(id=f"p{i}", year=year, doc_type=DocType.ARTICLE)
+            for i, year in enumerate([1, True, 1.0, 2016, 2016.0, False, 0])
+        ]
+        corpus = Corpus(tuple(records))
+        assert to_jsonl(corpus) == oracle_to_jsonl(corpus)
+        assert to_csv(corpus) == oracle_to_csv(corpus)
+
     @pytest.mark.parametrize("ch", ";|+")
     @pytest.mark.parametrize("where", ["subject", "country", "both"])
     def test_reserved_delimiter_reported_on_first_record_holding_it(self, ch, where):

@@ -152,12 +152,14 @@ class TestGeneratorGate:
         for record in international:
             assert {c for a in record.authors for c in a.countries} == {"AA", "ZY"}
 
-    def test_authors_are_shared_within_one_corpus(self):
-        params = SynthParams(seed=3, n_records=200)
+    @pytest.mark.parametrize("name", ["defaults", "single-author-international"])
+    def test_equal_authors_are_one_object_within_one_corpus(self, name):
+        params = SynthParams(seed=3, n_records=300, **GATE_PARAMS[name])
         first, second = generate(params), generate(params)
-        assert first.records[0].authors[0] is first.records[0].authors[-1]
-        refs = {id(a) for r in first for a in r.authors}
-        assert len(refs) < sum(len(r.authors) for r in first)
+        authors = [a for r in first for a in r.authors]
+        assert len({id(a) for a in authors}) == len(set(authors))
+        assert len({id(r.subjects) for r in first}) < len(first)
+        # each call interns afresh
         assert first.records[0].authors[0] is not second.records[0].authors[0]
 
     @pytest.mark.parametrize(
