@@ -30,6 +30,8 @@ Both formats are tokenized into the JSONL object shape and checked by one
 record builder. Within one parse call, authors with equal raw country lists
 share one interned :class:`AuthorRef` and records with equal raw subject
 lists share one subject set; both are frozen, so the sharing is safe.
+The writers serialize each distinct subject set and author country set
+once per call and reuse the text for every record that holds it.
 """
 
 from __future__ import annotations
