@@ -246,6 +246,24 @@ SWEEP_SCHEME = SubjectScheme(
 )
 
 _WIDE_COUNTRIES = "US CN GB DE IN JP FR IT CA AU ES KR BR NL RU IR CH SE PL TR".split()
+_SIXTY_COUNTRIES = _WIDE_COUNTRIES + (
+    "BE DK AT NO IL FI PT MX SG CZ ZA GR NZ IE AR EG MY PK TH SA "
+    "CL HU RO CO NG UA VN ID TW HK SK SI HR RS BD LT EE IS KE PE"
+).split()
+_SWEEP_SUBJECTS = ("PHYS", "CHEM", "BIO", "MED", "SOC")
+# one country union, {IN, US}, split across authors and ordered in every way
+_SPLITS = [
+    (("IN", "US"), ("US",)),
+    (("IN",), ("US",), ("US",)),
+    (("US",), ("IN", "US")),
+    (("US",), ("US",), ("IN",)),
+    (("IN", "US"),),
+    (("IN",), ("US",)),
+    (("US",), ("IN",)),
+    (("IN", "US"), ()),
+    ((), ("IN", "US")),
+    (("IN",), (), ("US",)),
+]
 
 
 def _shuffled(corpus: Corpus, seed: int) -> Corpus:
@@ -265,6 +283,40 @@ def _orphaned(corpus: Corpus) -> Corpus:
     )
 
 
+def _distinct_patterns(seed: int, n_records: int) -> Corpus:
+    """Wide records, no two with the same author-country tuple."""
+    rng = random.Random(seed)
+    seen = set()
+    records = []
+    while len(records) < n_records:
+        authors = tuple(
+            frozenset(rng.sample(_SIXTY_COUNTRIES, rng.choice([0, 1, 1, 1, 2, 3])))
+            for _ in range(rng.randint(1, 12))
+        )
+        if authors in seen:
+            continue
+        seen.add(authors)
+        subjects = rng.sample(_SWEEP_SUBJECTS, rng.randint(0, 3))
+        records.append(rec(f"x{rng.randrange(10**6):06d}-{len(records)}", *authors, subjects=subjects))
+    return Corpus(tuple(records), SWEEP_SCHEME)
+
+
+def _same_union(seed: int, n_records: int) -> Corpus:
+    """Records whose authors split one country union differently."""
+    rng = random.Random(seed)
+    return Corpus(
+        tuple(
+            rec(
+                f"u{rng.randrange(10**6):06d}-{i}",
+                *rng.choice(_SPLITS),
+                subjects=rng.sample(_SWEEP_SUBJECTS, rng.randint(0, 2)),
+            )
+            for i in range(n_records)
+        ),
+        SWEEP_SCHEME,
+    )
+
+
 def _sweep_corpora() -> dict[str, Corpus]:
     messy = random_corpus(random.Random(7), 300, SWEEP_SCHEME)
     wide = generate(
@@ -274,7 +326,7 @@ def _sweep_corpora() -> dict[str, Corpus]:
             country_weights={c: 20.0 - i for i, c in enumerate(_WIDE_COUNTRIES)},
             authors_max=12,
             collab_prob=0.6,
-            subject_pool=("PHYS", "CHEM", "BIO", "MED", "SOC"),
+            subject_pool=_SWEEP_SUBJECTS,
             subjects_min=0,
             subjects_max=3,
         )
@@ -289,6 +341,8 @@ def _sweep_corpora() -> dict[str, Corpus]:
         "wide-shuffled": _shuffled(wide, 2),
         "wide-orphaned": _orphaned(wide),
         "no-subjects": no_subjects,
+        "distinct-patterns": _distinct_patterns(13, 300),
+        "same-union": _same_union(17, 200),
         "empty": Corpus((), SWEEP_SCHEME),
     }
 
@@ -340,6 +394,13 @@ class TestSweepMatchesFrozenPasses:
         assert any(all(a.unresolved for a in r.authors) for r in records)
         assert any(r.subjects >= {"MED", "PHYS"} for r in records)
         assert not any("ASTRO" in r.subjects for r in records)
+        # share memo: every lookup misses, and equal unions split differently
+        distinct = SWEEP_CORPORA["distinct-patterns"].records
+        patterns = {tuple(a.countries for a in r.authors) for r in distinct}
+        assert len(patterns) == len(distinct)
+        assert len({c for r in distinct for a in r.authors for c in a.countries}) == 60
+        same_union = SWEEP_CORPORA["same-union"].records
+        assert len({tuple(a.countries for a in r.authors) for r in same_union}) == len(_SPLITS)
 
     def test_unknown_group_raises_before_counting(self, monkeypatch):
         def no_shares(record):

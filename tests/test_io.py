@@ -236,6 +236,17 @@ JSONL_GRID = [
     _row("c3", year=_DROP, authors=[{"countries": ["usa"]}], doc_type="letter"),
     "",
     "   ",
+    # decoder edges: what follows the value, what precedes it, and the
+    # non-finite constants json.loads accepts
+    "{} {}",
+    '{"id":"x"}]',
+    "\ufeff" + _row("f1"),
+    "\x0c" + _row("f2"),
+    "\t" + _row("f3"),
+    _row("f4") + "   ",
+    _row("f5") + "\t",
+    _row("n1", year=float("nan")),
+    _row("n2", year=float("inf")),
 ]
 
 CSV_GRID = [
@@ -272,9 +283,12 @@ def assert_same_parse(ours, reference):
 
 
 class TestReferenceParserEquivalence:
+    # parse_jsonl splits text on "\n" only; oracle_parse_jsonl splits text
+    # with str.splitlines, which also breaks on "\x0c", so the oracle is
+    # given the text's "\n"-separated lines
     @pytest.mark.parametrize("line", JSONL_GRID)
     def test_jsonl_row(self, line):
-        assert_same_parse(parse_jsonl(line), oracle_parse_jsonl(line))
+        assert_same_parse(parse_jsonl(line), oracle_parse_jsonl(line.split("\n")))
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
@@ -282,7 +296,7 @@ class TestReferenceParserEquivalence:
         lines = JSONL_GRID[:]
         random.Random(seed).shuffle(lines)
         text = newline.join(lines)
-        assert_same_parse(parse_jsonl(text), oracle_parse_jsonl(text))
+        assert_same_parse(parse_jsonl(text), oracle_parse_jsonl(text.split("\n")))
         as_file = [line + newline for line in lines]
         assert_same_parse(parse_jsonl(as_file), oracle_parse_jsonl(as_file))
 
