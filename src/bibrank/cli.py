@@ -20,6 +20,7 @@ and flag set is byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from contextlib import contextmanager
@@ -166,7 +167,15 @@ def _load_corpus(args: argparse.Namespace) -> tuple[Corpus, ValidationReport]:
             fmt, lines = _sniff_format(args.input, lines)
         scheme = _load_scheme(args.scheme)
         parse = parse_jsonl if fmt == "jsonl" else parse_csv
-        corpus, report = parse(lines, scheme=scheme, provenance=args.input)
+        # a parse allocates millions of acyclic objects, which the cyclic
+        # collector would scan again and again as they survive
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            corpus, report = parse(lines, scheme=scheme, provenance=args.input)
+        finally:
+            if collecting:
+                gc.enable()
     for ref, message in report.errors:
         print(f"error: {ref}: {message}", file=sys.stderr)
     return corpus, report

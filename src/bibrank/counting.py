@@ -131,9 +131,15 @@ def _sweep(
     ]
     shares_of = _SHARES[method]
     counted = dict.fromkeys(groups, 0)
+    # a record's shares depend only on its authors' country sets, in order;
+    # frozensets cache their hashes, so the pattern is cheap to look up
+    memo: dict[tuple[frozenset[str], ...], tuple[tuple[str, float], ...]] = {}
     for record in sorted(corpus.records, key=attrgetter("id")):
-        # one addend per country per record: the order within it is moot
-        shares = shares_of(record).items()
+        pattern = tuple([a.countries for a in record.authors])
+        shares = memo.get(pattern)
+        if shares is None:
+            # one addend per country per record: the order within it is moot
+            shares = memo[pattern] = tuple(shares_of(record).items())
         for group, codes, scores in slots:
             if codes is None or not codes.isdisjoint(record.subjects):
                 for country, share in shares:

@@ -40,6 +40,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from json.decoder import WHITESPACE
 from functools import partial
 from typing import Any, Callable, Iterable, Iterator
 
@@ -88,14 +89,6 @@ class ValidationReport(object):
         return not self.errors
 
 
-def _as_lines(source: str | Iterable[str]) -> Iterator[str]:
-    # a string splits on "\n" only: to_jsonl writes U+2028, U+0085 and the
-    # other characters str.splitlines() also breaks on raw inside strings
-    lines = source.split("\n") if isinstance(source, str) else source
-    for line in lines:
-        yield line.rstrip("\n").rstrip("\r")
-
-
 def _csv_rows(
     source: str | Iterable[str], expected_header: list[str]
 ) -> Iterator[tuple[int, list[str]]]:
@@ -130,6 +123,7 @@ class _Batch(object):
         self.authors: dict[tuple[str, ...], tuple[AuthorRef, tuple[str, ...]]] = {}
         # normalized country set -> the one AuthorRef that carries it
         self.refs: dict[frozenset[str], AuthorRef] = {}
+        self.build_author = partial(_author, self.refs)
         # raw subject tuple -> interned subject set
         self.subjects: dict[tuple[str, ...], frozenset[str]] = {}
 
@@ -217,7 +211,7 @@ def _take_authors(
     if not isinstance(raw, list) or not raw:
         batch.reject(ref, "missing or empty authors")
         return None
-    build = partial(_author, batch.refs)
+    build = batch.build_author
     authors = []
     warnings: list[str] = []
     for entry in raw:
@@ -287,6 +281,28 @@ def _build_record(
     report.records_accepted += 1
 
 
+_scan = json.JSONDecoder().scan_once
+_skip_whitespace = WHITESPACE.match
+
+
+def _decode(line: str) -> Any:
+    """The JSON value of one line, as ``json.loads`` gives it or raises.
+
+    ``line`` may keep its ending. The decoder's scanner reads the value
+    after any leading JSON whitespace, and only JSON whitespace may follow
+    it. On any miss, ``json.loads`` runs on the line without its ending, so
+    every error is the one it raises.
+    """
+    try:
+        value, end = _scan(line, _skip_whitespace(line, 0).end())
+    except (StopIteration, ValueError):
+        pass
+    else:
+        if _skip_whitespace(line, end).end() == len(line):
+            return value
+    return json.loads(line.rstrip("\n").rstrip("\r"))
+
+
 def parse_jsonl(
     source: str | Iterable[str],
     *,
@@ -302,12 +318,15 @@ def parse_jsonl(
     lines are ignored.
     """
     batch = _Batch()
-    for lineno, line in enumerate(_as_lines(source), start=1):
+    # a string splits on "\n" only: to_jsonl writes U+2028, U+0085 and the
+    # other characters str.splitlines() also breaks on raw inside strings
+    lines = source.split("\n") if isinstance(source, str) else source
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         ref = f"line {lineno}"
         try:
-            obj = json.loads(line)
+            obj = _decode(line)
         except json.JSONDecodeError as exc:
             batch.reject(ref, f"malformed JSON: {exc.msg}")
             continue

@@ -17,13 +17,14 @@ is also provided and agrees with it exactly when there are no ties.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .counting import ScoreTable
 from .errors import UndefinedInputError
 from .model import UNRESOLVED
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def average_ranks(values: Sequence[float], descending: bool = False) -> list[float]:
@@ -118,6 +119,8 @@ def _clean_pair(x: Sequence[float], y: Sequence[float]) -> tuple[np.ndarray, np.
         raise UndefinedInputError("correlation inputs differ in length")
     if len(x) < 2:
         raise UndefinedInputError("correlation needs at least two observations")
+    import numpy as np
+
     ax = np.asarray(x, dtype=float)
     ay = np.asarray(y, dtype=float)
     if not (np.all(np.isfinite(ax)) and np.all(np.isfinite(ay))):
@@ -158,6 +161,8 @@ def spearman_closed_form(x: Sequence[float], y: Sequence[float]) -> float:
     shortcut is only an approximation of :func:`spearman`; without ties
     the two agree to float precision.
     """
+    import numpy as np
+
     ax, ay = _clean_pair(x, y)
     rx = np.asarray(average_ranks(list(ax)))
     ry = np.asarray(average_ranks(list(ay)))
@@ -216,6 +221,8 @@ def correlation_matrix(
         label: [_scores_for_matrix(table, c) for c in countries]
         for label, table in tables.items()
     }
+    import numpy as np
+
     n = len(labels)
     values = np.eye(n)
     for i in range(n):

@@ -28,14 +28,15 @@ import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .collaboration import CountryMetrics, ReductionBasis, derive_metrics
 from .errors import FixtureIntegrityError
 from .ingest import CountryAggregate, GroupRankRow, parse_aggregate_csv, parse_group_ranks_csv
 from .rankstats import CorrelationMatrix, pearson, spearman
+
+if TYPE_CHECKING:
+    import numpy as np
 
 FIXTURE_CHECKSUMS = {
     "table1.csv": "da36f467e52fb093e67dfabcb738a908bc7321337530a09cb524642d401ce6c1",
@@ -137,6 +138,8 @@ def load_fixtures() -> FixtureSet:
     Raises :class:`FixtureIntegrityError` when a file's checksum does not
     match or the cross-table consistency checks fail.
     """
+    import numpy as np
+
     t1_rows = []
     for row in csv.DictReader(_read_asset("table1.csv").splitlines()):
         t1_rows.append(
@@ -354,6 +357,8 @@ def published_srcc_variant(rx: Sequence[float], ry: Sequence[float]) -> float:
     cell agrees with this variant within 0.007; no other tested
     convention comes close (see the delta report).
     """
+    import numpy as np
+
     rx = np.asarray(rx, dtype=float)
     ry = np.asarray(ry, dtype=float)
     n = len(rx)
@@ -413,6 +418,8 @@ def replicate_table4(fixtures: FixtureSet | None = None) -> Table4Report:
     fixtures = fixtures or load_fixtures()
     groups = fixtures.groups
     cols = {g: fixtures.rank_column(g) for g in groups}
+    import numpy as np
+
     n = len(groups)
     values = np.eye(n)
     avg_values = np.eye(n)

@@ -24,10 +24,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .model import AuthorRef, Corpus, DocType, PublicationRecord, SubjectScheme, EMPTY_SCHEME
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_COUNTRY_WEIGHTS = {
     "US": 30.0,
@@ -88,7 +90,7 @@ class SynthParams(object):
 def _cdf(probs: np.ndarray) -> list[float]:
     # as Generator.choice builds it, so bisecting a uniform draw picks what
     # choice's searchsorted picks
-    cdf = np.cumsum(probs)
+    cdf = probs.cumsum()
     cdf /= cdf[-1]
     return cdf.tolist()
 
@@ -99,6 +101,8 @@ def generate(params: SynthParams, scheme: SubjectScheme | None = None) -> Corpus
     The same ``params.seed`` always yields byte-identical records. Record
     ids are zero-padded so lexicographic and generation order coincide.
     """
+    import numpy as np
+
     rng = np.random.Generator(np.random.PCG64(params.seed))
     countries = sorted(params.country_weights)
     weights = np.array([params.country_weights[c] for c in countries], dtype=float)

@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import gc
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bibrank
 from bibrank.cli import run
 from bibrank.ingest import to_csv, to_jsonl
 from bibrank.model import Corpus, DocType
@@ -454,3 +460,48 @@ class TestDeterminism:
             _, out_a, _ = invoke(capsys, *command, "--input", str(jsonl_path))
             _, out_b, _ = invoke(capsys, *command, "--input", str(csv_path))
             assert out_a == out_b
+
+
+class TestProcessState:
+    # the commands that never need numpy must not pay for importing it
+    @pytest.mark.parametrize(
+        "code",
+        [
+            "import bibrank",
+            "import bibrank.cli",
+            "from bibrank.cli import run\n"
+            "for cmd in ('count', 'collab', 'ingest'):\n"
+            "    assert run([cmd, '--input', PATH]) == 0\n",
+        ],
+        ids=["import-bibrank", "import-cli", "count-collab-ingest"],
+    )
+    def test_numpy_stays_unloaded(self, tmp_path, mixed_corpus, code):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(to_jsonl(mixed_corpus), encoding="utf-8")
+        script = f"import sys\nPATH = {str(path)!r}\n{code}\nprint('numpy' in sys.modules)\n"
+        env = dict(os.environ, PYTHONPATH=str(Path(bibrank.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False"
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize("bad_header", [False, True], ids=["clean", "bad-csv-header"])
+    def test_collector_state_is_restored(self, capsys, tmp_path, mixed_corpus, enabled, bad_header):
+        path = tmp_path / "corpus.csv"
+        text = to_csv(mixed_corpus)
+        path.write_text("id,year\n" + text if bad_header else text, encoding="utf-8")
+        was_enabled = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            code, _, err = invoke(capsys, "count", "--input", str(path))
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was_enabled else gc.disable()
+        assert code == (1 if bad_header else 0)
+        assert ("bad CSV header" in err) is bad_header
