@@ -25,6 +25,11 @@ which makes every score bit-identical under permutation of the input. Each
 record's shares are computed once and added to every requested table it
 belongs to (``ALL`` and any subject groups); unknown group names raise
 before any record is counted.
+
+A record's shares depend only on its author-country pattern, the tuple of
+its authors' country sets in author order. Each sweep memoizes the shares
+per pattern and drops the memo on return, so records that repeat a
+pattern reuse one computation and no state outlives the call.
 """
 
 from __future__ import annotations
@@ -131,8 +136,8 @@ def _sweep(
     ]
     shares_of = _SHARES[method]
     counted = dict.fromkeys(groups, 0)
-    # a record's shares depend only on its authors' country sets, in order;
-    # frozensets cache their hashes, so the pattern is cheap to look up
+    # keyed by the country sets rather than the AuthorRef tuple: a frozenset
+    # caches its hash, a dataclass recomputes it in Python on every lookup
     memo: dict[tuple[frozenset[str], ...], tuple[tuple[str, float], ...]] = {}
     for record in sorted(corpus.records, key=attrgetter("id")):
         pattern = tuple([a.countries for a in record.authors])

@@ -26,6 +26,13 @@ trailing ``\\r`` dropped, so U+2028, U+0085 and the other characters that
 keep their endings, so quoted fields may hold newlines. The command-line
 reader drops a leading UTF-8 byte-order mark from files and stdin.
 
+Each JSONL line is decoded by the ``json`` module's scanner (its C
+implementation where available) without the ``json.loads`` wrappers: the
+value may follow JSON whitespace only and be followed by JSON whitespace
+only, as ``json.loads`` requires. A line that fails either test is handed
+to ``json.loads`` itself, so every error is the one it raises, the
+"Unexpected UTF-8 BOM" and "Extra data" ones included.
+
 Both formats are tokenized into the JSONL object shape and checked by one
 record builder. Within one parse call, authors with equal raw country lists
 share one interned :class:`AuthorRef` and records with equal raw subject
@@ -40,8 +47,8 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from json.decoder import WHITESPACE
 from functools import partial
+from json.decoder import WHITESPACE
 from typing import Any, Callable, Iterable, Iterator
 
 from .errors import SchemaError
@@ -319,9 +326,12 @@ def parse_jsonl(
     """
     batch = _Batch()
     # a string splits on "\n" only: to_jsonl writes U+2028, U+0085 and the
-    # other characters str.splitlines() also breaks on raw inside strings
-    lines = source.split("\n") if isinstance(source, str) else source
-    for lineno, line in enumerate(lines, start=1):
+    # other characters str.splitlines() also breaks on raw inside strings.
+    # Only the loop's iterator holds the split lines, so they are freed
+    # when it is exhausted, before the corpus is built.
+    for lineno, line in enumerate(
+        source.split("\n") if isinstance(source, str) else source, start=1
+    ):
         if not line.strip():
             continue
         ref = f"line {lineno}"

@@ -23,6 +23,8 @@ from .counting import ScoreTable
 from .errors import UndefinedInputError
 from .model import UNRESOLVED
 
+# numpy is imported inside the functions that use it: importing it takes
+# longer than importing the rest of bibrank, and most commands never need it
 if TYPE_CHECKING:
     import numpy as np
 
@@ -115,12 +117,12 @@ def assign_ranks(
 
 
 def _clean_pair(x: Sequence[float], y: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     if len(x) != len(y):
         raise UndefinedInputError("correlation inputs differ in length")
     if len(x) < 2:
         raise UndefinedInputError("correlation needs at least two observations")
-    import numpy as np
-
     ax = np.asarray(x, dtype=float)
     ay = np.asarray(y, dtype=float)
     if not (np.all(np.isfinite(ax)) and np.all(np.isfinite(ay))):
@@ -203,6 +205,8 @@ def correlation_matrix(
     With ``countries=None`` the comparison set is the countries common to
     every table (``ZZ`` excluded), sorted. Diagonal entries are exactly 1.
     """
+    import numpy as np
+
     labels = tuple(tables.keys())
     if countries is None:
         common: set[str] | None = None
@@ -221,8 +225,6 @@ def correlation_matrix(
         label: [_scores_for_matrix(table, c) for c in countries]
         for label, table in tables.items()
     }
-    import numpy as np
-
     n = len(labels)
     values = np.eye(n)
     for i in range(n):

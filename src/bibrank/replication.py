@@ -35,6 +35,8 @@ from .errors import FixtureIntegrityError
 from .ingest import CountryAggregate, GroupRankRow, parse_aggregate_csv, parse_group_ranks_csv
 from .rankstats import CorrelationMatrix, pearson, spearman
 
+# numpy is imported inside the functions that use it: importing it takes
+# longer than importing the rest of bibrank, and most commands never need it
 if TYPE_CHECKING:
     import numpy as np
 
@@ -415,11 +417,11 @@ def replicate_table4(fixtures: FixtureSet | None = None) -> Table4Report:
     carried in every delta-report cell for comparison. Cells beyond the
     per-cell tolerance are listed as outliers rather than hidden.
     """
+    import numpy as np
+
     fixtures = fixtures or load_fixtures()
     groups = fixtures.groups
     cols = {g: fixtures.rank_column(g) for g in groups}
-    import numpy as np
-
     n = len(groups)
     values = np.eye(n)
     avg_values = np.eye(n)

@@ -28,6 +28,8 @@ from typing import TYPE_CHECKING
 
 from .model import AuthorRef, Corpus, DocType, PublicationRecord, SubjectScheme, EMPTY_SCHEME
 
+# numpy is imported inside the functions that use it: importing it takes
+# longer than importing the rest of bibrank, and most commands never need it
 if TYPE_CHECKING:
     import numpy as np
 
