@@ -29,7 +29,9 @@ before any record is counted.
 A record's shares depend only on its author-country pattern, the tuple of
 its authors' country sets in author order. Each sweep memoizes the shares
 per pattern and drops the memo on return, so records that repeat a
-pattern reuse one computation and no state outlives the call.
+pattern reuse one computation and no state outlives the call. A pattern's
+shares are stored from its second record on: in wide corpora most
+patterns occur once, and for those the memo holds only the key.
 """
 
 from __future__ import annotations
@@ -138,13 +140,16 @@ def _sweep(
     counted = dict.fromkeys(groups, 0)
     # keyed by the country sets rather than the AuthorRef tuple: a frozenset
     # caches its hash, a dataclass recomputes it in Python on every lookup
-    memo: dict[tuple[frozenset[str], ...], tuple[tuple[str, float], ...]] = {}
+    memo: dict[tuple[frozenset[str], ...], tuple[tuple[str, float], ...] | None] = {}
     for record in sorted(corpus.records, key=attrgetter("id")):
         pattern = tuple([a.countries for a in record.authors])
         shares = memo.get(pattern)
         if shares is None:
             # one addend per country per record: the order within it is moot
-            shares = memo[pattern] = tuple(shares_of(record).items())
+            shares = shares_of(record).items()
+            # shares are kept from a pattern's second record on, so a
+            # pattern that never repeats costs only its key
+            memo[pattern] = tuple(shares) if pattern in memo else None
         for group, codes, scores in slots:
             if codes is None or not codes.isdisjoint(record.subjects):
                 for country, share in shares:
