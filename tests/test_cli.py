@@ -497,11 +497,12 @@ class TestProcessState:
         text = to_csv(mixed_corpus)
         path.write_text("id,year\n" + text if bad_header else text, encoding="utf-8")
         was_enabled = gc.isenabled()
+        set_collector = {True: gc.enable, False: gc.disable}
         try:
-            gc.enable() if enabled else gc.disable()
+            set_collector[enabled]()
             code, _, err = invoke(capsys, "count", "--input", str(path))
             assert gc.isenabled() is enabled
         finally:
-            gc.enable() if was_enabled else gc.disable()
+            set_collector[was_enabled]()
         assert code == (1 if bad_header else 0)
         assert ("bad CSV header" in err) is bad_header
