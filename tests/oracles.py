@@ -21,6 +21,12 @@ the model types, ``countries_of``, ``CountMethod`` and ``ScoreTable``.
 end are frozen copies of the synthetic generator and the record writers
 from before their fast paths, kept so that the generated and written bytes
 can be checked against them. They share only the model types and numpy.
+``oracle_load_fixtures`` and ``oracle_table4`` are frozen copies of the
+bundled-table readers and the Table 4 pairwise loop from before the
+fixtures went through ingest's strict reader and the loop through
+rankstats' pairwise helper. They read the data files with ``csv`` and
+fill the two matrices themselves, sharing only the replication and ingest
+row types, ``published_srcc_variant`` and ``spearman``.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from importlib import resources
 
 import numpy as np
 
@@ -48,7 +55,17 @@ from bibrank.model import (
     is_country_code,
     normalize_country,
 )
-from bibrank.rankstats import pearson
+from bibrank.ingest import CountryAggregate, GroupRankRow
+from bibrank.rankstats import CorrelationMatrix, pearson, spearman
+from bibrank.replication import (
+    GROUPS,
+    FixtureSet,
+    PrintedMetrics,
+    Table1Row,
+    Table4Cell,
+    Table4Report,
+    published_srcc_variant,
+)
 
 
 def oracle_whole(corpus: Corpus) -> dict[str, int]:
@@ -578,3 +595,87 @@ def oracle_to_csv(corpus):
         else:
             writer.writerow(row)
     return buf.getvalue()
+
+
+def _oracle_asset_rows(name):
+    text = resources.files("bibrank").joinpath("data", name).read_bytes().decode("utf-8")
+    return text.splitlines()
+
+
+def oracle_load_fixtures():
+    """Frozen copy of ``replication.load_fixtures`` from before all five
+    tables went through ingest's strict reader: ``csv.DictReader`` for
+    table 1 and the printed table 2 columns, ``csv.reader`` for the rest.
+    Checksums and cross-table checks are left out; only the parsed values
+    are compared."""
+    t1 = tuple(
+        Table1Row(
+            country=row["country"],
+            nsf_wc=float(row["nsf_wc"]),
+            nsf_fc=float(row["nsf_fc"]),
+            elsevier_wc=float(row["elsevier_wc"]) if row["elsevier_wc"] else None,
+        )
+        for row in csv.DictReader(_oracle_asset_rows("table1.csv"))
+    )
+    t2 = tuple(
+        CountryAggregate(country.strip(), float(wc), float(fc), int(icp))
+        for country, wc, fc, icp in list(csv.reader(_oracle_asset_rows("table2.csv")))[1:]
+    )
+    t2_printed = tuple(
+        PrintedMetrics(
+            country=row["country"],
+            reduction_pct=float(row["reduction_pct"]),
+            icp_pct=float(row["icp_pct"]),
+            ratio=float(row["ratio"]),
+        )
+        for row in csv.DictReader(_oracle_asset_rows("table2_expected.csv"))
+    )
+    t3 = tuple(
+        GroupRankRow(country.strip(), group.strip(), float(tp), float(rank))
+        for country, group, tp, rank in list(csv.reader(_oracle_asset_rows("table3.csv")))[1:]
+    )
+    t4_rows = list(csv.reader(_oracle_asset_rows("table4.csv")))[1:]
+    t4 = np.array([[float(v) for v in r[1:]] for r in t4_rows])
+    t4.setflags(write=False)
+    return FixtureSet(t1, t2, t2_printed, t3, t4, GROUPS)
+
+
+def oracle_table4(fixtures):
+    """Frozen copy of ``replication.replicate_table4`` from before it called
+    rankstats' pairwise helper: one loop fills both symmetric matrices and
+    appends each off-diagonal cell in row-major order."""
+    groups = fixtures.groups
+    cols = {g: fixtures.rank_column(g) for g in groups}
+    n = len(groups)
+    values = np.eye(n)
+    avg_values = np.eye(n)
+    cells = []
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            if j > i:
+                values[i, j] = values[j, i] = published_srcc_variant(
+                    cols[groups[i]], cols[groups[j]]
+                )
+                avg_values[i, j] = avg_values[j, i] = spearman(
+                    cols[groups[i]], cols[groups[j]]
+                )
+            cells.append(
+                Table4Cell(
+                    row_group=groups[i],
+                    col_group=groups[j],
+                    computed=float(values[i, j]),
+                    printed=float(fixtures.table4_printed[i, j]),
+                    avg_rank_spearman=float(avg_values[i, j]),
+                )
+            )
+    values.setflags(write=False)
+    avg_values.setflags(write=False)
+    countries = tuple(fixtures.countries())
+    return Table4Report(
+        matrix=CorrelationMatrix(tuple(groups), values, countries),
+        avg_rank_matrix=CorrelationMatrix(tuple(groups), avg_values, countries),
+        printed=fixtures.table4_printed,
+        cells=tuple(cells),
+    )

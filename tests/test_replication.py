@@ -17,6 +17,8 @@ from bibrank.replication import (
     replicate_table4,
 )
 
+from oracles import oracle_load_fixtures, oracle_table4
+
 
 @pytest.fixture(scope="module")
 def fixtures():
@@ -70,6 +72,22 @@ class TestFixtures:
             "table3.csv",
             "table4.csv",
         }
+
+
+class TestFixtureReaderEquivalence:
+    """The bundled tables parse to the same values as the frozen readers."""
+
+    def test_row_tables_match_reference_reprs(self, fixtures):
+        expected = oracle_load_fixtures()
+        for name in ("table1", "table2", "table2_printed", "table3"):
+            assert repr(getattr(fixtures, name)) == repr(getattr(expected, name)), name
+
+    def test_printed_matrix_matches_reference_bytes(self, fixtures):
+        expected = oracle_load_fixtures().table4_printed
+        assert fixtures.table4_printed.dtype == expected.dtype
+        assert fixtures.table4_printed.shape == expected.shape
+        assert fixtures.table4_printed.tobytes() == expected.tobytes()
+        assert not fixtures.table4_printed.flags.writeable
 
 
 class TestTable2:
@@ -138,6 +156,18 @@ class TestTable4:
         assert len(report.cells) == 90
         assert report.outliers == []
         assert report.passed
+
+    def test_matches_reference_loop_bit_for_bit(self, fixtures):
+        report = replicate_table4(fixtures)
+        expected = oracle_table4(fixtures)
+        for name in ("matrix", "avg_rank_matrix"):
+            got, want = getattr(report, name), getattr(expected, name)
+            assert got.labels == want.labels and got.countries == want.countries, name
+            assert got.values.dtype == want.values.dtype, name
+            assert got.values.shape == want.values.shape, name
+            assert got.values.tobytes() == want.values.tobytes(), name
+            assert not got.values.flags.writeable, name
+        assert repr(report.cells) == repr(expected.cells)
 
     def test_named_cells(self, fixtures):
         matrix = replicate_table4(fixtures).matrix
