@@ -118,7 +118,7 @@ def _sniff_format(path: str, lines: Iterable[str]) -> tuple[str, Iterable[str]]:
 def _load_scheme(path: str | None) -> SubjectScheme:
     if path is None:
         return EMPTY_SCHEME
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8-sig") as f:
         try:
             raw = json.load(f)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -385,6 +385,7 @@ def _correlation_rows(fixtures: replication.FixtureSet) -> tuple[list[list[Any]]
 
 def _table4_rows(fixtures: replication.FixtureSet) -> tuple[list[list[Any]], bool]:
     report = replication.replicate_table4(fixtures)
+    outliers = report.outliers
     rows = [
         [
             cell.row_group,
@@ -393,7 +394,7 @@ def _table4_rows(fixtures: replication.FixtureSet) -> tuple[list[list[Any]], boo
             cell.printed,
             cell.delta,
             cell.avg_rank_spearman,
-            _yes(cell.delta > replication.TOL_CELL),
+            _yes(cell in outliers),
         ]
         for cell in report.cells
     ]

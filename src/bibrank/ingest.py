@@ -195,17 +195,13 @@ def _author(
     refs: dict[frozenset[str], AuthorRef], raw: tuple[str, ...]
 ) -> tuple[AuthorRef, tuple[str, ...]]:
     # runs once per distinct raw country tuple of a parse
-    codes = set()
     warnings = []
     for code in raw:
         norm = normalize_country(code)
         if norm != UNRESOLVED and not is_country_code(norm):
             warnings.append(f"country {code!r} is not a recognized name or two-letter code")
-        codes.add(norm)
-    codes.discard(UNRESOLVED)
-    codes.discard("")
-    countries = frozenset(codes)
-    author = refs.setdefault(countries, AuthorRef(countries))
+    author = AuthorRef.from_raw(raw)
+    author = refs.setdefault(author.countries, author)
     if author.unresolved:
         warnings.append("author with no resolvable country; credited to ZZ")
     return author, tuple(warnings)

@@ -195,6 +195,22 @@ def _scores_for_matrix(table: ScoreTable | RankTable, country: str) -> float:
     raise KeyError(country)
 
 
+def _pairwise_matrix(
+    vectors: Sequence[Sequence[float]],
+    stat: Callable[[Sequence[float], Sequence[float]], float],
+) -> np.ndarray:
+    """Read-only matrix of ``stat`` over each pair ``i < j``, mirrored; diagonal 1."""
+    import numpy as np
+
+    n = len(vectors)
+    values = np.eye(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            values[i, j] = values[j, i] = stat(vectors[i], vectors[j])
+    values.setflags(write=False)
+    return values
+
+
 def correlation_matrix(
     tables: Mapping[str, ScoreTable | RankTable],
     countries: Sequence[str] | None = None,
@@ -205,8 +221,6 @@ def correlation_matrix(
     With ``countries=None`` the comparison set is the countries common to
     every table (``ZZ`` excluded), sorted. Diagonal entries are exactly 1.
     """
-    import numpy as np
-
     labels = tuple(tables.keys())
     if countries is None:
         common: set[str] | None = None
@@ -221,17 +235,8 @@ def correlation_matrix(
             f"{len(countries)} for slices {', '.join(labels)}"
         )
 
-    vectors = {
-        label: [_scores_for_matrix(table, c) for c in countries]
-        for label, table in tables.items()
-    }
-    n = len(labels)
-    values = np.eye(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            r = stat(vectors[labels[i]], vectors[labels[j]])
-            values[i, j] = values[j, i] = r
-    values.setflags(write=False)
+    vectors = [[_scores_for_matrix(table, c) for c in countries] for table in tables.values()]
+    values = _pairwise_matrix(vectors, stat)
     return CorrelationMatrix(labels, values, countries)
 
 

@@ -16,14 +16,14 @@ transcribed verbatim and guarded by checksums:
 * ``table4.csv``: the published 10x10 rank-correlation matrix.
 
 Every ``replicate_*`` function recomputes the derived numbers from the
-raw columns through the ordinary library code paths and reports per-cell
-deltas against the published values. Deltas beyond tolerance are returned
-as named outliers, never dropped.
+raw columns through the ordinary library code paths, ingest's strict CSV
+reader and rankstats' pairwise loop included, and reports per-cell
+deltas against the published values. Deltas beyond tolerance are
+returned as named outliers, never dropped.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
@@ -32,8 +32,14 @@ from typing import TYPE_CHECKING, Sequence
 
 from .collaboration import CountryMetrics, ReductionBasis, derive_metrics
 from .errors import FixtureIntegrityError
-from .ingest import CountryAggregate, GroupRankRow, parse_aggregate_csv, parse_group_ranks_csv
-from .rankstats import CorrelationMatrix, pearson, spearman
+from .ingest import (
+    CountryAggregate,
+    GroupRankRow,
+    _strict_rows,
+    parse_aggregate_csv,
+    parse_group_ranks_csv,
+)
+from .rankstats import CorrelationMatrix, _pairwise_matrix, pearson, spearman
 
 # numpy is imported inside the functions that use it: importing it takes
 # longer than importing the rest of bibrank, and most commands never need it
@@ -137,45 +143,35 @@ def _read_asset(name: str) -> str:
 def load_fixtures() -> FixtureSet:
     """Load and validate the bundled tables.
 
-    Raises :class:`FixtureIntegrityError` when a file's checksum does not
-    match or the cross-table consistency checks fail.
+    Raises :class:`SchemaError` from ingest's strict reader when a header
+    or row width is off, and :class:`FixtureIntegrityError` when a file's
+    checksum does not match or the cross-table consistency checks fail.
     """
     import numpy as np
 
-    t1_rows = []
-    for row in csv.DictReader(_read_asset("table1.csv").splitlines()):
-        t1_rows.append(
-            Table1Row(
-                country=row["country"],
-                nsf_wc=float(row["nsf_wc"]),
-                nsf_fc=float(row["nsf_fc"]),
-                elsevier_wc=float(row["elsevier_wc"]) if row["elsevier_wc"] else None,
-            )
+    t1_rows = tuple(
+        Table1Row(country, float(nsf_wc), float(nsf_fc), float(els_wc) if els_wc else None)
+        for country, nsf_wc, nsf_fc, els_wc in _strict_rows(
+            _read_asset("table1.csv"), ["country", "nsf_wc", "nsf_fc", "elsevier_wc"]
         )
+    )
 
     t2 = tuple(parse_aggregate_csv(_read_asset("table2.csv")))
     t2_printed = tuple(
-        PrintedMetrics(
-            country=row["country"],
-            reduction_pct=float(row["reduction_pct"]),
-            icp_pct=float(row["icp_pct"]),
-            ratio=float(row["ratio"]),
+        PrintedMetrics(country, float(reduction_pct), float(icp_pct), float(ratio))
+        for country, reduction_pct, icp_pct, ratio in _strict_rows(
+            _read_asset("table2_expected.csv"), ["country", "reduction_pct", "icp_pct", "ratio"]
         )
-        for row in csv.DictReader(_read_asset("table2_expected.csv").splitlines())
     )
     t3 = tuple(parse_group_ranks_csv(_read_asset("table3.csv")))
 
-    t4_reader = csv.reader(_read_asset("table4.csv").splitlines())
-    header = next(t4_reader)
-    if tuple(header[1:]) != GROUPS:
-        raise FixtureIntegrityError(f"table4 group header mismatch: {header[1:]!r}")
-    t4_rows = list(t4_reader)
+    t4_rows = list(_strict_rows(_read_asset("table4.csv"), ["group", *GROUPS]))
     if [r[0] for r in t4_rows] != list(GROUPS):
         raise FixtureIntegrityError("table4 row labels do not match group order")
     t4 = np.array([[float(v) for v in r[1:]] for r in t4_rows])
     t4.setflags(write=False)
 
-    fixtures = FixtureSet(tuple(t1_rows), t2, t2_printed, t3, t4, GROUPS)
+    fixtures = FixtureSet(t1_rows, t2, t2_printed, t3, t4, GROUPS)
 
     if len(fixtures.table1) != 20 or len(fixtures.table2) != 20:
         raise FixtureIntegrityError("expected 20 countries per table")
@@ -417,37 +413,23 @@ def replicate_table4(fixtures: FixtureSet | None = None) -> Table4Report:
     carried in every delta-report cell for comparison. Cells beyond the
     per-cell tolerance are listed as outliers rather than hidden.
     """
-    import numpy as np
-
     fixtures = fixtures or load_fixtures()
     groups = fixtures.groups
-    cols = {g: fixtures.rank_column(g) for g in groups}
-    n = len(groups)
-    values = np.eye(n)
-    avg_values = np.eye(n)
-    cells = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if j > i:
-                values[i, j] = values[j, i] = published_srcc_variant(
-                    cols[groups[i]], cols[groups[j]]
-                )
-                avg_values[i, j] = avg_values[j, i] = spearman(
-                    cols[groups[i]], cols[groups[j]]
-                )
-            cells.append(
-                Table4Cell(
-                    row_group=groups[i],
-                    col_group=groups[j],
-                    computed=float(values[i, j]),
-                    printed=float(fixtures.table4_printed[i, j]),
-                    avg_rank_spearman=float(avg_values[i, j]),
-                )
-            )
-    values.setflags(write=False)
-    avg_values.setflags(write=False)
+    cols = [fixtures.rank_column(g) for g in groups]
+    values = _pairwise_matrix(cols, published_srcc_variant)
+    avg_values = _pairwise_matrix(cols, spearman)
+    cells = [
+        Table4Cell(
+            row_group=groups[i],
+            col_group=groups[j],
+            computed=float(values[i, j]),
+            printed=float(fixtures.table4_printed[i, j]),
+            avg_rank_spearman=float(avg_values[i, j]),
+        )
+        for i in range(len(groups))
+        for j in range(len(groups))
+        if i != j
+    ]
     countries = tuple(fixtures.countries())
     return Table4Report(
         matrix=CorrelationMatrix(tuple(groups), values, countries),

@@ -25,8 +25,9 @@ can be checked against them. They share only the model types and numpy.
 bundled-table readers and the Table 4 pairwise loop from before the
 fixtures went through ingest's strict reader and the loop through
 rankstats' pairwise helper. They read the data files with ``csv`` and
-fill the two matrices themselves, sharing only the replication and ingest
-row types, ``published_srcc_variant`` and ``spearman``.
+fill the two matrices themselves, sharing only the replication, ingest and
+rankstats result types, ``GROUPS``, ``published_srcc_variant`` and
+``spearman``.
 """
 
 from __future__ import annotations

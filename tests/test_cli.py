@@ -193,6 +193,15 @@ class TestCount:
         assert code == 0
         assert f"{len(mixed_corpus)} records counted" in err.splitlines()
 
+    def test_bom_prefixed_scheme_file(self, capsys, corpus_file, scheme_file):
+        path = Path(scheme_file)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        code, out, err = invoke(
+            capsys, "count", "--input", corpus_file, "--scheme", scheme_file, "--group", "phys"
+        )
+        assert code == 0, err
+        assert out == "country,whole\nGB,1\nUS,2\n"
+
     def test_bom_prefixed_csv_sniffed(self, capsys, tmp_path, mixed_corpus):
         path = tmp_path / "bom.txt"
         path.write_bytes(b"\xef\xbb\xbf" + to_csv(mixed_corpus).encode("utf-8"))
