@@ -11,10 +11,12 @@ One subcommand per pipeline stage::
     bibrank replicate  recompute the bundled reference tables
     bibrank synth      generate a deterministic synthetic corpus
 
-Data goes to stdout (or ``--output``), diagnostics to stderr. Exit codes:
-0 success, 1 validation or usage error, 2 I/O error. All configuration is
-flags; no environment variables are consulted. Output for a fixed input
-and flag set is byte-identical across runs.
+``--input -`` reads standard input's bytes exactly as a file is read:
+strict UTF-8, a leading BOM dropped, lines ending at ``\\n``, ``\\r\\n`` or
+a bare ``\\r``. Data goes to stdout (or ``--output``), diagnostics to stderr.
+Exit codes: 0 success, 1 validation or usage error, 2 I/O error. All
+configuration is flags; no environment variables are consulted. Output
+for a fixed input and flag set is byte-identical across runs.
 
 The cyclic garbage collector is paused while the input is parsed: the
 records are acyclic, and the collector would otherwise rescan them as they
@@ -28,10 +30,9 @@ import argparse
 import gc
 import json
 import sys
-from contextlib import contextmanager
 from itertools import chain
 from operator import attrgetter
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Sequence
 
 from . import replication
 from .collaboration import ReductionBasis, country_metrics
@@ -73,19 +74,6 @@ class _Parser(argparse.ArgumentParser):
 
 # ---------------------------------------------------------------------------
 # shared plumbing
-
-
-@contextmanager
-def _input_lines(path: str) -> Iterator[Iterable[str]]:
-    """The input's lines, endings kept, without a leading UTF-8 BOM."""
-    if path == "-":
-        lines = iter(sys.stdin)
-        first = next(lines, None)
-        yield lines if first is None else chain([first.removeprefix("\ufeff")], lines)
-        return
-    # newline="" keeps "\r\n" inside quoted CSV fields intact
-    with open(path, "r", encoding="utf-8-sig", newline="") as f:
-        yield f
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -142,9 +130,12 @@ def _parse_years(arg: str | None) -> set[int] | None:
     if arg is None:
         return None
     try:
-        return {int(tok) for tok in arg.split(",") if tok.strip()}
+        years = {int(tok) for tok in arg.split(",") if tok.strip()}
     except ValueError:
         raise UsageError(f"--years expects comma-separated integers, got {arg!r}")
+    if not years:
+        raise UsageError("--years must name at least one year")
+    return years
 
 
 def _parse_doc_types(arg: str) -> set[DocType] | None:
@@ -166,7 +157,14 @@ def _parse_doc_types(arg: str) -> set[DocType] | None:
 
 
 def _load_corpus(args: argparse.Namespace) -> tuple[Corpus, ValidationReport]:
-    with _input_lines(args.input) as lines:
+    stdin = args.input == "-"
+    # stdin reads as a file does; newline="" keeps "\r\n" in quoted CSV fields
+    with open(
+        sys.stdin.fileno() if stdin else args.input,
+        encoding="utf-8-sig",
+        newline="",
+        closefd=not stdin,
+    ) as lines:
         fmt = args.input_format
         if fmt == "auto":
             fmt, lines = _sniff_format(args.input, lines)

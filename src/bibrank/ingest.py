@@ -17,14 +17,14 @@ literal ``ZZ``::
     p1,2016,article,PHYS;CHEM,IN+US|GB|ZZ
 
 Malformed rows are rejected individually and listed in the validation
-report; only a broken header is fatal.
+report; only a broken header or a row that ``csv`` cannot read is fatal.
 
 Both parsers take the whole text or an iterable of lines, such as an open
 file, and read it once. JSONL text splits into lines on ``\\n`` only, with a
 trailing ``\\r`` dropped, so U+2028, U+0085 and the other characters that
 ``to_jsonl`` writes raw inside strings survive the round trip. CSV lines
-keep their endings, so quoted fields may hold newlines. The command-line
-reader drops a leading UTF-8 byte-order mark from files and stdin.
+keep their endings, so quoted fields may hold newlines. The command line
+reads a file or stdin as a stream whose lines also end at a bare ``\\r``.
 
 Each JSONL line is decoded by the ``json`` module's scanner (its C
 implementation where available) without the ``json.loads`` wrappers: the
@@ -102,16 +102,21 @@ def _csv_rows(
     """Check the header row, then yield each non-blank row with its number."""
     # csv.reader needs the line endings to keep newlines inside quoted fields
     reader = csv.reader(io.StringIO(source, newline="") if isinstance(source, str) else source)
-    header = next(reader, None)
-    if header is None:
-        raise SchemaError("empty input: expected a CSV header row")
-    if [h.strip() for h in header] != expected_header:
-        raise SchemaError(
-            f"bad CSV header {header!r}; expected {','.join(expected_header)}"
-        )
-    for rownum, row in enumerate(reader, start=2):
-        if row and any(cell.strip() for cell in row):
-            yield rownum, row
+    rownum = 0  # rows read so far, the header included
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise SchemaError("empty input: expected a CSV header row")
+        if [h.strip() for h in header] != expected_header:
+            raise SchemaError(
+                f"bad CSV header {header!r}; expected {','.join(expected_header)}"
+            )
+        rownum = 1
+        for rownum, row in enumerate(reader, start=2):
+            if row and any(cell.strip() for cell in row):
+                yield rownum, row
+    except csv.Error as exc:
+        raise SchemaError(f"row {rownum + 1}: {exc}") from None
 
 
 class _Batch(object):
@@ -361,9 +366,9 @@ def parse_csv(
     """Parse the CSV record format; see the module docstring for the layout.
 
     ``source`` is the whole text or an iterable of lines that keep their
-    endings, such as a file opened with ``newline=""``. A header differing
-    from ``id,year,doc_type,subjects,author_countries`` raises
-    :class:`SchemaError`; row-level problems reject only that row.
+    endings, such as a file opened with ``newline=""``. A wrong header, or a
+    row that ``csv`` cannot read, raises :class:`SchemaError`; other row-level
+    problems reject only that row.
     """
     batch = _Batch()
     for rownum, row in _csv_rows(source, CSV_HEADER):

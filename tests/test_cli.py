@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import gc
-import io
 import json
 import os
 import subprocess
@@ -129,6 +128,17 @@ class TestIngest:
         assert code == 0
         assert out == to_csv(mixed_corpus)
 
+    def test_unreadable_csv_field_exits_without_traceback(self, capsys, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text(
+            "id,year,doc_type,subjects,author_countries\n"
+            f"p1,2016,article,{'X' * 140_000},US\n",
+            encoding="utf-8",
+        )
+        code, out, err = invoke(capsys, "ingest", "--input", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: row 2: field larger than field limit (131072)\n"
+
 
 class TestCount:
     def test_fractional_author_table(self, capsys, corpus_file):
@@ -187,11 +197,31 @@ class TestCount:
         assert code == 0
         assert f"{len(mixed_corpus)} records counted" in err.splitlines()
 
-    def test_bom_prefixed_stdin_counts_every_record(self, capsys, monkeypatch, mixed_corpus):
-        monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff" + to_jsonl(mixed_corpus)))
-        code, _, err = invoke(capsys, "count", "--input", "-", "--doc-types", "all")
+    def test_bom_prefixed_stdin_counts_every_record(
+        self, capsys, monkeypatch, tmp_path, mixed_corpus
+    ):
+        path = tmp_path / "bom.jsonl"
+        path.write_bytes(b"\xef\xbb\xbf" + to_jsonl(mixed_corpus).encode("utf-8"))
+        with open(path, encoding="utf-8") as fake_stdin:
+            monkeypatch.setattr("sys.stdin", fake_stdin)
+            code, _, err = invoke(capsys, "count", "--input", "-", "--doc-types", "all")
         assert code == 0
         assert f"{len(mixed_corpus)} records counted" in err.splitlines()
+
+    def test_stdin_stays_open(self, capsys, monkeypatch, corpus_file):
+        with open(corpus_file, encoding="utf-8") as fake_stdin:
+            monkeypatch.setattr("sys.stdin", fake_stdin)
+            code, _, _ = invoke(capsys, "count", "--input", "-")
+            assert code == 0
+            # the descriptor, not just the Python object, is still open
+            os.fstat(sys.stdin.fileno())
+            assert not sys.stdin.closed
+
+    @pytest.mark.parametrize("years", ["", ",", " , "])
+    def test_empty_years_is_usage_error(self, capsys, corpus_file, years):
+        code, out, err = invoke(capsys, "count", "--input", corpus_file, "--years", years)
+        assert (code, out) == (1, "")
+        assert err == "error: --years must name at least one year\n"
 
     def test_bom_prefixed_scheme_file(self, capsys, corpus_file, scheme_file):
         path = Path(scheme_file)
@@ -515,3 +545,66 @@ class TestProcessState:
             set_collector[was_enabled]()
         assert code == (1 if bad_header else 0)
         assert ("bad CSV header" in err) is bad_header
+
+
+_HEADER = "id,year,doc_type,subjects,author_countries"
+
+
+def _jsonl_record(rec_id: str, sep: str = "") -> str:
+    return (
+        f'{{"id":"{rec_id}","year":2016,{sep}"doc_type":"article",'
+        '"authors":[{"countries":["US"]}]}\n'
+    )
+
+
+class TestStdinReadsAsFile:
+    """The same bytes give the same result from a file and from a real stdin."""
+
+    @pytest.mark.parametrize(
+        "data, code",
+        [
+            pytest.param(
+                b"\xef\xbb\xbf" + (_jsonl_record("p1") + _jsonl_record("p2")).encode(),
+                0,
+                id="bom-jsonl",
+            ),
+            pytest.param(
+                f'{_HEADER}\r\np1,2016,article,"PHYS;\r\nMED",US\r\np2,2016,review,BIO,GB\r\n'
+                .encode(),
+                0,
+                id="csv-crlf-quoted-crlf",
+            ),
+            pytest.param(
+                f"{_HEADER}\rp1,2016,article,PHYS,US\rp2,2016,review,BIO,GB\r".encode(),
+                0,
+                id="csv-bare-cr",
+            ),
+            pytest.param(_jsonl_record("p1", sep="\r").encode(), 1, id="jsonl-bare-cr"),
+            pytest.param(
+                _jsonl_record("p1").encode().replace(b"p1", b"p\xff1"), 1, id="jsonl-0xff"
+            ),
+            pytest.param(
+                (_jsonl_record("a\u2028b") + _jsonl_record("c\x85d")).encode(),
+                0,
+                id="jsonl-u2028-u0085",
+            ),
+            pytest.param(b"", 0, id="empty"),
+        ],
+    )
+    def test_file_and_stdin_agree(self, tmp_path, data, code):
+        # no extension, so both runs sniff the format from the first line
+        path = tmp_path / "input"
+        path.write_bytes(data)
+        env = dict(os.environ, PYTHONPATH=str(Path(bibrank.__file__).parents[1]))
+        argv = [sys.executable, "-m", "bibrank.cli", "ingest", "--emit", "jsonl", "--input"]
+        from_file = subprocess.run(
+            [*argv, str(path)], env=env, capture_output=True, timeout=60
+        )
+        with open(path, "rb") as stdin:
+            from_stdin = subprocess.run(
+                [*argv, "-"], env=env, stdin=stdin, capture_output=True, timeout=60
+            )
+        assert from_file.returncode == code, from_file.stderr
+        assert from_stdin.returncode == code, from_stdin.stderr
+        assert from_stdin.stdout == from_file.stdout
+        assert from_stdin.stderr == from_file.stderr.replace(str(path).encode(), b"-")

@@ -251,11 +251,14 @@ def capture(name: str) -> dict[str, object]:
     out, err = io.StringIO(), io.StringIO()
     saved_stdin = sys.stdin
     if stdin is not None:
-        sys.stdin = io.StringIO(Path(stdin).read_text(encoding="utf-8"))
+        # a real file, as the CLI reads standard input through its descriptor
+        sys.stdin = open(stdin, encoding="utf-8")
     try:
         with redirect_stdout(out), redirect_stderr(err):
             code = run(argv)
     finally:
+        if stdin is not None:
+            sys.stdin.close()
         sys.stdin = saved_stdin
     result: dict[str, object] = {
         "argv": argv,

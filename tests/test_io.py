@@ -94,6 +94,10 @@ class TestParseJsonl:
         assert corpus.records[0].authors[0].countries == frozenset({"GB", "US"})
 
 
+# one field over the csv module's default 131,072-character limit
+BIG = "X" * 140_000
+
+
 class TestParseCsv:
     HEADER = "id,year,doc_type,subjects,author_countries"
 
@@ -130,6 +134,19 @@ class TestParseCsv:
         text = self.HEADER + "\np1,2016,article,PHYS,\n"
         _, report = parse_csv(text)
         assert report.records_rejected == 1
+
+    @pytest.mark.parametrize(
+        "parse, text, row",
+        [
+            (parse_csv, f"{HEADER}\np1,2016,article,PHYS,US\np2,2016,article,{BIG},US\n", 3),
+            (parse_aggregate_csv, f"country,wc,fc,icp\nGB,1,1,0\n\"{BIG}\",1,1,0\n", 3),
+            (parse_csv, f"{BIG}\np1,2016,article,PHYS,US\n", 1),
+        ],
+        ids=["records", "aggregate", "header"],
+    )
+    def test_unreadable_field_is_schema_error(self, parse, text, row):
+        with pytest.raises(SchemaError, match=rf"^row {row}: field larger than field limit"):
+            parse(text)
 
     def test_zz_round_trips(self):
         corpus = Corpus((rec("p1", ["US"], []),))
