@@ -30,6 +30,7 @@ import argparse
 import gc
 import json
 import sys
+from dataclasses import fields
 from itertools import chain
 from operator import attrgetter
 from typing import Any, Iterable, Sequence
@@ -47,6 +48,7 @@ from .counting import (
 )
 from .errors import SchemaError, UndefinedInputError, UnknownGroupError
 from .ingest import (
+    _WIRE_DOC_TYPES,
     DEFAULT_DOC_TYPES,
     ValidationReport,
     apply_filter,
@@ -126,16 +128,21 @@ def _load_scheme(path: str | None) -> SubjectScheme:
         raise SchemaError(f"--scheme file {path!r}: {exc}") from None
 
 
+def _names(arg: str, flag: str, what: str) -> list[str]:
+    """The non-blank items of a comma-separated flag value; at least one."""
+    names = [tok.strip() for tok in arg.split(",") if tok.strip()]
+    if not names:
+        raise UsageError(f"{flag} must name at least one {what}")
+    return names
+
+
 def _parse_years(arg: str | None) -> set[int] | None:
     if arg is None:
         return None
     try:
-        years = {int(tok) for tok in arg.split(",") if tok.strip()}
+        return {int(tok) for tok in _names(arg, "--years", "year")}
     except ValueError:
         raise UsageError(f"--years expects comma-separated integers, got {arg!r}")
-    if not years:
-        raise UsageError("--years must name at least one year")
-    return years
 
 
 def _parse_doc_types(arg: str) -> set[DocType] | None:
@@ -143,56 +150,60 @@ def _parse_doc_types(arg: str) -> set[DocType] | None:
         return None
     if arg == "default":
         return set(DEFAULT_DOC_TYPES)
-    wire = {d.value: d for d in DocType}
     out = set()
     for tok in arg.split(","):
         tok = tok.strip()
-        if tok not in wire:
+        if tok not in _WIRE_DOC_TYPES:
             raise UsageError(
                 f"unknown doc type {tok!r}; expected names from "
-                f"{sorted(wire)}, 'default' or 'all'"
+                f"{sorted(_WIRE_DOC_TYPES)}, 'default' or 'all'"
             )
-        out.add(wire[tok])
+        out.add(_WIRE_DOC_TYPES[tok])
     return out
 
 
 def _load_corpus(args: argparse.Namespace) -> tuple[Corpus, ValidationReport]:
     stdin = args.input == "-"
     # stdin reads as a file does; newline="" keeps "\r\n" in quoted CSV fields
-    with open(
-        sys.stdin.fileno() if stdin else args.input,
-        encoding="utf-8-sig",
-        newline="",
-        closefd=not stdin,
-    ) as lines:
-        fmt = args.input_format
-        if fmt == "auto":
-            fmt, lines = _sniff_format(args.input, lines)
-        scheme = _load_scheme(args.scheme)
-        parse = parse_jsonl if fmt == "jsonl" else parse_csv
-        # records are acyclic: the collector would only rescan them
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
-            corpus, report = parse(lines, scheme=scheme, provenance=args.input)
-        finally:
-            if collecting:
-                gc.enable()
+    try:
+        with open(
+            sys.stdin.fileno() if stdin else args.input,
+            encoding="utf-8-sig",
+            newline="",
+            closefd=not stdin,
+        ) as lines:
+            fmt = args.input_format
+            if fmt == "auto":
+                fmt, lines = _sniff_format(args.input, lines)
+            scheme = _load_scheme(args.scheme)
+            parse = parse_jsonl if fmt == "jsonl" else parse_csv
+            # records are acyclic: the collector would only rescan them
+            collecting = gc.isenabled()
+            gc.disable()
+            try:
+                corpus, report = parse(lines, scheme=scheme, provenance=args.input)
+            finally:
+                if collecting:
+                    gc.enable()
+    except UnicodeDecodeError as exc:
+        # the decoder's position counts from its current chunk, not the file
+        bad = " ".join(f"0x{b:02x}" for b in exc.object[exc.start : exc.end])
+        raise SchemaError(f"input {args.input!r} is not valid UTF-8: {exc.reason} {bad}") from None
     for ref, message in report.errors:
         print(f"error: {ref}: {message}", file=sys.stderr)
     return corpus, report
 
 
 def _filtered_corpus(args: argparse.Namespace) -> Corpus:
+    # a flag typo is reported before a long input is read
+    years, doc_types = _parse_years(args.years), _parse_doc_types(args.doc_types)
     corpus, report = _load_corpus(args)
     if not report.ok:
         raise UsageError(
             f"{len(report.errors)} record error(s) in {args.input}; "
             "run 'bibrank ingest' for the full report"
         )
-    return apply_filter(
-        corpus, _parse_years(args.years), _parse_doc_types(args.doc_types)
-    )
+    return apply_filter(corpus, years, doc_types)
 
 
 def _add_io_flags(p: argparse.ArgumentParser, corpus_input: bool = True) -> None:
@@ -219,10 +230,11 @@ def _add_filter_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_method_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--method", choices=["whole", "fractional"], default="whole", help="counting method"
-    )
+def _add_method_flags(p: argparse.ArgumentParser, whole: bool = True) -> None:
+    if whole:
+        p.add_argument(
+            "--method", choices=["whole", "fractional"], default="whole", help="counting method"
+        )
     p.add_argument(
         "--mode",
         choices=[m.value for m in FractionalMode],
@@ -240,6 +252,16 @@ def _method(args: argparse.Namespace) -> CountMethod:
 
 def _score_decimals(method: CountMethod) -> int | None:
     return 0 if method is CountMethod.WHOLE else 2
+
+
+def _yes(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
+def _attr_rows(items: Iterable[Any], headers: Sequence[str]) -> list[list[Any]]:
+    """One row per item: its attributes named by ``headers``, a bool as yes/no."""
+    values = attrgetter(*headers)
+    return [[_yes(v) if isinstance(v, bool) else v for v in values(item)] for item in items]
 
 
 def _write_rows(
@@ -265,12 +287,9 @@ def _group_count(args: argparse.Namespace) -> ScoreTable:
 
 def _slice_tables(args: argparse.Namespace) -> dict[str, ScoreTable]:
     """Load and filter the input, then count each of ``--slices``."""
-    corpus = _filtered_corpus(args)
-    names = [tok.strip() for tok in args.slices.split(",") if tok.strip()]
-    if not names:
-        raise UsageError("--slices must name at least one subject group")
+    names = _names(args.slices, "--slices", "subject group")
     groups = [ALL_FIELDS if n.lower() == "all" else n for n in names]
-    return subject_group_count(corpus, _method(args), groups)
+    return subject_group_count(_filtered_corpus(args), _method(args), groups)
 
 
 # ---------------------------------------------------------------------------
@@ -305,16 +324,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
 def _cmd_collab(args: argparse.Namespace) -> int:
     corpus = _filtered_corpus(args)
     metrics = country_metrics(corpus, ReductionBasis(args.basis), FractionalMode(args.mode))
-    rows = [
-        [m.country, m.wc, m.fc, m.icp, m.icp_pct, m.reduction_pct, m.ratio]
-        for m in metrics
-    ]
-    _write_rows(
-        args,
-        ["country", "wc", "fc", "icp", "icp_pct", "reduction_pct", "ratio"],
-        rows,
-        [None, 0, 2, 0, 1, 1, 2],
-    )
+    headers = ["country", "wc", "fc", "icp", "icp_pct", "reduction_pct", "ratio"]
+    _write_rows(args, headers, _attr_rows(metrics, headers), [None, 0, 2, 0, 1, 1, 2])
     return 0
 
 
@@ -324,9 +335,9 @@ def _cmd_rank(args: argparse.Namespace) -> int:
         what = f"subject group {args.group!r}" if args.group else f"input {args.input!r}"
         raise UndefinedInputError(f"{what} has no country to rank")
     ranked = assign_ranks(table, include_unresolved=args.include_unresolved)
-    rows = [[e.rank, e.country, e.score, e.tie_rank] for e in ranked.entries]
+    headers = ["rank", "country", "score", "tie_rank"]
     precision = [None, None, _score_decimals(table.method), 1]
-    _write_rows(args, ["rank", "country", "score", "tie_rank"], rows, precision)
+    _write_rows(args, headers, _attr_rows(ranked.entries, headers), precision)
     return 0
 
 
@@ -358,11 +369,10 @@ def _cmd_subjects(args: argparse.Namespace) -> int:
     return 0
 
 
-def _yes(flag: bool) -> str:
-    return "yes" if flag else "no"
+_Rows = tuple[list[list[Any]], bool]
 
 
-def _table2_rows(fixtures: replication.FixtureSet) -> tuple[list[list[Any]], bool]:
+def _table2_rows(fixtures: replication.FixtureSet, headers: Sequence[str]) -> _Rows:
     report = replication.replicate_table2(fixtures)
     values = attrgetter("reduction_pct", "icp_pct", "ratio")
     rows = [
@@ -372,41 +382,24 @@ def _table2_rows(fixtures: replication.FixtureSet) -> tuple[list[list[Any]], boo
     return rows, report.passed
 
 
-def _correlation_rows(fixtures: replication.FixtureSet) -> tuple[list[list[Any]], bool]:
+def _correlation_rows(fixtures: replication.FixtureSet, headers: Sequence[str]) -> _Rows:
     report = replication.replicate_rank_correlations(fixtures)
-    rows = [
-        [c.name, c.computed, c.expected_low, c.expected_high, _yes(c.within_tolerance), c.note]
-        for c in report.coefficients
-    ]
-    return rows, report.passed
+    return _attr_rows(report.coefficients, headers), report.passed
 
 
-def _table4_rows(fixtures: replication.FixtureSet) -> tuple[list[list[Any]], bool]:
+def _table4_rows(fixtures: replication.FixtureSet, headers: Sequence[str]) -> _Rows:
     report = replication.replicate_table4(fixtures)
-    outliers = report.outliers
-    rows = [
-        [
-            cell.row_group,
-            cell.col_group,
-            cell.computed,
-            cell.printed,
-            cell.delta,
-            cell.avg_rank_spearman,
-            _yes(cell in outliers),
-        ]
-        for cell in report.cells
-    ]
-    return rows, report.passed
+    return _attr_rows(report.cells, headers), report.passed
 
 
-def _fig1_rows(fixtures: replication.FixtureSet) -> tuple[list[list[Any]], bool]:
+def _fig1_rows(fixtures: replication.FixtureSet, headers: Sequence[str]) -> _Rows:
     curves = replication.fig1_curves(fixtures)
     rows = [["reduction_pct", c, v] for c, v in curves.reduction_series]
     rows += [["icp_pct", c, v] for c, v in curves.icp_series]
     return rows, True
 
 
-def _summary_rows(fixtures: replication.FixtureSet) -> tuple[list[list[Any]], bool]:
+def _summary_rows(fixtures: replication.FixtureSet, headers: Sequence[str]) -> _Rows:
     t2 = replication.replicate_table2(fixtures)
     rc = replication.replicate_rank_correlations(fixtures)
     t4 = replication.replicate_table4(fixtures)
@@ -419,7 +412,7 @@ def _summary_rows(fixtures: replication.FixtureSet) -> tuple[list[list[Any]], bo
     return rows, all(r.passed for r, _ in details.values())
 
 
-# replicate --target -> (rows builder returning (rows, passed), headers, precision)
+# replicate --target -> (rows builder(fixtures, headers) -> (rows, passed), headers, precision)
 _REPLICATE_TARGETS = {
     "table2": (
         _table2_rows,
@@ -460,7 +453,7 @@ _REPLICATE_TARGETS = {
 
 def _cmd_replicate(args: argparse.Namespace) -> int:
     build_rows, headers, precision = _REPLICATE_TARGETS[args.target]
-    rows, passed = build_rows(replication.load_fixtures())
+    rows, passed = build_rows(replication.load_fixtures(), headers)
     _write_rows(args, headers, rows, precision)
     if not passed:
         print(f"replication target {args.target!r} outside tolerance", file=sys.stderr)
@@ -469,10 +462,7 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
 
 def _parse_weights(arg: str) -> dict[str, float]:
     weights = {}
-    for tok in arg.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
+    for tok in _names(arg, "--countries", "country"):
         code, sep, value = tok.partition(":")
         if not sep:
             raise UsageError(f"--countries expects CODE:WEIGHT pairs, got {tok!r}")
@@ -480,29 +470,16 @@ def _parse_weights(arg: str) -> dict[str, float]:
             weights[code.strip()] = float(value)
         except ValueError:
             raise UsageError(f"bad weight {value!r} for {code.strip()!r}")
-    if not weights:
-        raise UsageError("--countries must name at least one country")
     return weights
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    kwargs: dict[str, Any] = dict(
-        seed=args.seed,
-        n_records=args.n_records,
-        authors_min=args.authors_min,
-        authors_max=args.authors_max,
-        collab_prob=args.collab_prob,
-        subjects_min=args.subjects_min,
-        subjects_max=args.subjects_max,
-        year=args.year,
-    )
-    if args.countries is not None:
-        kwargs["country_weights"] = _parse_weights(args.countries)
-    if args.subject_pool is not None:
-        pool = tuple(tok.strip() for tok in args.subject_pool.split(",") if tok.strip())
-        if not pool:
-            raise UsageError("--subject-pool must name at least one subject code")
-        kwargs["subject_pool"] = pool
+    given = vars(args)
+    if "countries" in given:
+        given["country_weights"] = _parse_weights(args.countries)
+    if "subject_pool" in given:
+        given["subject_pool"] = tuple(_names(args.subject_pool, "--subject-pool", "subject code"))
+    kwargs = {f.name: given[f.name] for f in fields(SynthParams) if f.name in given}
     # SynthParams raises ValueError on bad knobs, which run() reports as exit 1
     corpus = generate(SynthParams(**kwargs))
     _write_output(to_jsonl(corpus), args.output)
@@ -544,12 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="fc",
         help="denominator for reduction_pct: (wc-fc)/fc or (wc-fc)/wc",
     )
-    p.add_argument(
-        "--mode",
-        choices=[m.value for m in FractionalMode],
-        default="author",
-        help="fractional credit split",
-    )
+    _add_method_flags(p, whole=False)
     p.set_defaults(func=_cmd_collab)
 
     p = sub.add_parser("rank", help="ranked country table")
@@ -594,18 +566,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_replicate)
 
-    p = sub.add_parser("synth", help="generate a deterministic synthetic corpus (JSONL)")
+    # a flag left out (--output aside) stays out of args: SynthParams holds the defaults
+    p = sub.add_parser(
+        "synth",
+        help="generate a deterministic synthetic corpus (JSONL)",
+        argument_default=argparse.SUPPRESS,
+    )
     p.add_argument("--seed", type=int, required=True, help="PRNG seed")
     p.add_argument("--n-records", type=int, required=True, help="number of records")
     p.add_argument("--countries", help="CODE:WEIGHT pairs, comma-separated")
-    p.add_argument("--authors-min", type=int, default=1)
-    p.add_argument("--authors-max", type=int, default=6)
-    p.add_argument("--collab-prob", type=float, default=0.25, help="international share")
+    p.add_argument("--authors-min", type=int)
+    p.add_argument("--authors-max", type=int)
+    p.add_argument("--collab-prob", type=float, help="international share")
     p.add_argument("--subject-pool", help="comma-separated subject codes to draw from")
-    p.add_argument("--subjects-min", type=int, default=1)
-    p.add_argument("--subjects-max", type=int, default=2)
-    p.add_argument("--year", type=int, default=2016)
-    p.add_argument("--output", help="output path; default stdout")
+    p.add_argument("--subjects-min", type=int)
+    p.add_argument("--subjects-max", type=int)
+    p.add_argument("--year", type=int)
+    p.add_argument("--output", default=None, help="output path; default stdout")
     p.set_defaults(func=_cmd_synth)
 
     return parser

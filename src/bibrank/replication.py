@@ -378,6 +378,10 @@ class Table4Cell(object):
     def delta(self) -> float:
         return abs(self.computed - self.printed)
 
+    @property
+    def outlier(self) -> bool:
+        return self.delta > TOL_CELL
+
 
 @dataclass(frozen=True)
 class Table4Report(object):
@@ -390,12 +394,12 @@ class Table4Report(object):
 
     @property
     def outliers(self) -> list[Table4Cell]:
-        return [c for c in self.cells if c.delta > TOL_CELL]
+        return [c for c in self.cells if c.outlier]
 
     @property
     def passed(self) -> bool:
         n_off = len(self.cells)
-        within = sum(1 for c in self.cells if c.delta <= TOL_CELL)
+        within = sum(1 for c in self.cells if not c.outlier)
         diag_ok = all(float(self.matrix.values[i, i]) == 1.0 for i in range(len(self.matrix.labels)))
         return (
             diag_ok

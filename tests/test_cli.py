@@ -104,6 +104,98 @@ class TestExitCodes:
         assert err == f"error: --scheme file {str(path)!r}{problem}\n"
 
 
+class TestFlagsBeforeInput:
+    """Flag values are checked before a byte of the input is read."""
+
+    @pytest.fixture(params=["missing", "0xff"])
+    def unreadable(self, request, tmp_path):
+        path = tmp_path / "input.jsonl"
+        if request.param == "0xff":
+            path.write_bytes(b'{"id":"p\xff1"}\n')
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["count", "--years", "x"], "--years expects comma-separated integers, got 'x'"),
+            (["count", "--years", ","], "--years must name at least one year"),
+            (["count", "--doc-types", "letter"], "unknown doc type 'letter'"),
+            (["correlate", "--slices", ","], "--slices must name at least one subject group"),
+        ],
+        ids=["years-x", "years-blank", "doc-types-letter", "slices-blank"],
+    )
+    def test_bad_flag_wins_over_unreadable_input(self, capsys, unreadable, argv, message):
+        code, out, err = invoke(capsys, *argv, "--input", unreadable)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}")
+
+
+class TestNonUtf8Input:
+    def test_names_input_and_byte_without_chunk_offset(self, capsys, tmp_path):
+        # the bad byte sits well past the decoder's first 8 KB chunk
+        lines = to_jsonl(generate(SynthParams(seed=1, n_records=3000))).encode().splitlines(True)
+        lines[2000] = lines[2000].replace(b'"id":"', b'"id":"\xff', 1)
+        path = tmp_path / "x.jsonl"
+        path.write_bytes(b"".join(lines))
+        for command in ("count", "ingest"):
+            code, out, err = invoke(capsys, command, "--input", str(path))
+            assert (code, out) == (1, "")
+            assert err == f"error: input {str(path)!r} is not valid UTF-8: invalid start byte 0xff\n"
+
+    def test_truncated_sequence_names_every_byte(self, capsys, tmp_path):
+        path = tmp_path / "x.jsonl"
+        path.write_bytes(_jsonl_record("p1").encode() + b"\xe2\x82")
+        code, _, err = invoke(capsys, "ingest", "--input", str(path))
+        assert code == 1
+        assert err == (
+            f"error: input {str(path)!r} is not valid UTF-8: unexpected end of data 0xe2 0x82\n"
+        )
+
+
+class TestHelp:
+    # every long flag of each subcommand, as the help text must list it
+    IO = ["--input", "--input-format", "--scheme", "--output", "--format"]
+    FILTER = ["--years", "--doc-types"]
+    FLAGS = {
+        "ingest": [*IO, "--emit"],
+        "count": [*IO, *FILTER, "--method", "--mode", "--group"],
+        "collab": [*IO, *FILTER, "--basis", "--mode"],
+        "rank": [*IO, *FILTER, "--method", "--mode", "--group", "--include-unresolved"],
+        "correlate": [*IO, *FILTER, "--method", "--mode", "--slices", "--stat"],
+        "subjects": [*IO, *FILTER, "--method", "--mode"],
+        "replicate": ["--output", "--format", "--target"],
+        "synth": [
+            "--seed",
+            "--n-records",
+            "--countries",
+            "--authors-min",
+            "--authors-max",
+            "--collab-prob",
+            "--subject-pool",
+            "--subjects-min",
+            "--subjects-max",
+            "--year",
+            "--output",
+        ],
+    }
+    def _help(self, capsys, *argv: str) -> str:
+        with pytest.raises(SystemExit) as exit_:
+            run([*argv, "--help"])
+        assert exit_.value.code == 0
+        return capsys.readouterr().out
+
+    def test_top_level_lists_every_subcommand(self, capsys):
+        out = self._help(capsys)
+        assert "--help" in out
+        assert all(command in out for command in self.FLAGS)
+
+    @pytest.mark.parametrize("command", list(FLAGS))
+    def test_subcommand_lists_every_long_flag(self, capsys, command):
+        out = self._help(capsys, command)
+        listed = {tok.strip("[]") for tok in out.split() if tok.startswith(("--", "[--"))}
+        assert listed == {"--help", *self.FLAGS[command]}
+
+
 class TestIngest:
     def test_report_lists_problems(self, capsys, tmp_path):
         path = tmp_path / "messy.jsonl"

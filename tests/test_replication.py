@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from bibrank.replication import (
     FIXTURE_CHECKSUMS,
     GROUPS,
     TOL_CELL,
+    TOL_OUTLIER,
+    Table4Cell,
     fig1_curves,
     load_fixtures,
     published_srcc_variant,
@@ -156,6 +160,21 @@ class TestTable4:
         assert len(report.cells) == 90
         assert report.outliers == []
         assert report.passed
+
+    def test_outlier_flag_is_the_cell_tolerance(self, fixtures):
+        report = replicate_table4(fixtures)
+        assert all(c.outlier == (c.delta > TOL_CELL) for c in report.cells)
+        # delta exactly at the tolerance is within it; 9 of 10 within passes
+        at = Table4Cell("a", "b", computed=TOL_CELL, printed=0.0, avg_rank_spearman=0.0)
+        beyond = dataclasses.replace(at, computed=0.04)
+        assert (at.outlier, beyond.outlier) == (False, True)
+        for n_beyond, passed in [(0, True), (1, True), (2, False)]:
+            cells = (beyond,) * n_beyond + (at,) * (10 - n_beyond)
+            synthetic = dataclasses.replace(report, cells=cells)
+            assert synthetic.outliers == [c for c in cells if c.outlier]
+            assert synthetic.passed is passed
+        far = dataclasses.replace(at, computed=TOL_OUTLIER + 0.01)
+        assert not dataclasses.replace(report, cells=(far,) + (at,) * 9).passed
 
     def test_matches_reference_loop_bit_for_bit(self, fixtures):
         report = replicate_table4(fixtures)
