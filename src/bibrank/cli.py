@@ -162,7 +162,14 @@ def _parse_doc_types(arg: str) -> set[DocType] | None:
     return out
 
 
-def _load_corpus(args: argparse.Namespace) -> tuple[Corpus, ValidationReport]:
+def _load_corpus(
+    args: argparse.Namespace, groups: Iterable[str] = ()
+) -> tuple[Corpus, ValidationReport]:
+    # the scheme alone decides each group name: both are checked before the input is read
+    scheme = _load_scheme(args.scheme)
+    for name in groups:
+        if name != ALL_FIELDS:
+            scheme.group(name)
     stdin = args.input == "-"
     # stdin reads as a file does; newline="" keeps "\r\n" in quoted CSV fields
     try:
@@ -175,7 +182,6 @@ def _load_corpus(args: argparse.Namespace) -> tuple[Corpus, ValidationReport]:
             fmt = args.input_format
             if fmt == "auto":
                 fmt, lines = _sniff_format(args.input, lines)
-            scheme = _load_scheme(args.scheme)
             parse = parse_jsonl if fmt == "jsonl" else parse_csv
             # records are acyclic: the collector would only rescan them
             collecting = gc.isenabled()
@@ -194,53 +200,16 @@ def _load_corpus(args: argparse.Namespace) -> tuple[Corpus, ValidationReport]:
     return corpus, report
 
 
-def _filtered_corpus(args: argparse.Namespace) -> Corpus:
+def _filtered_corpus(args: argparse.Namespace, groups: Iterable[str] = ()) -> Corpus:
     # a flag typo is reported before a long input is read
     years, doc_types = _parse_years(args.years), _parse_doc_types(args.doc_types)
-    corpus, report = _load_corpus(args)
+    corpus, report = _load_corpus(args, groups)
     if not report.ok:
         raise UsageError(
             f"{len(report.errors)} record error(s) in {args.input}; "
             "run 'bibrank ingest' for the full report"
         )
     return apply_filter(corpus, years, doc_types)
-
-
-def _add_io_flags(p: argparse.ArgumentParser, corpus_input: bool = True) -> None:
-    if corpus_input:
-        p.add_argument("--input", required=True, help="record stream path, or - for stdin")
-        p.add_argument(
-            "--input-format",
-            choices=["auto", "jsonl", "csv"],
-            default="auto",
-            help="input layout; auto sniffs from the extension or first line",
-        )
-        p.add_argument("--scheme", help="JSON file mapping group names to subject codes")
-    p.add_argument("--output", help="output path; default stdout")
-    p.add_argument("--format", choices=list(FORMATS), default="csv", help="table format")
-
-
-def _add_filter_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--years", help="comma-separated publication years to keep")
-    p.add_argument(
-        "--doc-types",
-        default="default",
-        help="comma-separated doc types to keep, 'default' "
-        "(article,review,conference_paper) or 'all'",
-    )
-
-
-def _add_method_flags(p: argparse.ArgumentParser, whole: bool = True) -> None:
-    if whole:
-        p.add_argument(
-            "--method", choices=["whole", "fractional"], default="whole", help="counting method"
-        )
-    p.add_argument(
-        "--mode",
-        choices=[m.value for m in FractionalMode],
-        default="author",
-        help="fractional credit split (ignored for whole counting)",
-    )
 
 
 def _method(args: argparse.Namespace) -> CountMethod:
@@ -276,7 +245,7 @@ def _write_rows(
 
 def _group_count(args: argparse.Namespace) -> ScoreTable:
     """Load and filter the input, restrict it to ``--group``, then count."""
-    corpus = _filtered_corpus(args)
+    corpus = _filtered_corpus(args, [args.group] if args.group else ())
     if args.group:
         corpus = slice_corpus(corpus, args.group)
     # the public count functions, which perfbench/worker.py wraps by name
@@ -289,7 +258,7 @@ def _slice_tables(args: argparse.Namespace) -> dict[str, ScoreTable]:
     """Load and filter the input, then count each of ``--slices``."""
     names = _names(args.slices, "--slices", "subject group")
     groups = [ALL_FIELDS if n.lower() == "all" else n for n in names]
-    return subject_group_count(_filtered_corpus(args), _method(args), groups)
+    return subject_group_count(_filtered_corpus(args, groups), _method(args), groups)
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +464,41 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="bibrank", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="validate a record stream and report problems")
-    _add_io_flags(p)
+    # the shared flag sets, each extending the one before it
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", help="output path; default stdout")
+    output.add_argument("--format", choices=list(FORMATS), default="csv", help="table format")
+    inputs = argparse.ArgumentParser(add_help=False, parents=[output])
+    inputs.add_argument("--input", required=True, help="record stream path, or - for stdin")
+    inputs.add_argument(
+        "--input-format",
+        choices=["auto", "jsonl", "csv"],
+        default="auto",
+        help="input layout; auto sniffs from the extension or first line",
+    )
+    inputs.add_argument("--scheme", help="JSON file mapping group names to subject codes")
+    analysis = argparse.ArgumentParser(add_help=False, parents=[inputs])
+    analysis.add_argument("--years", help="comma-separated publication years to keep")
+    analysis.add_argument(
+        "--doc-types",
+        default="default",
+        help="comma-separated doc types to keep, 'default' "
+        "(article,review,conference_paper) or 'all'",
+    )
+    analysis.add_argument(
+        "--mode",
+        choices=[m.value for m in FractionalMode],
+        default="author",
+        help="fractional credit split (ignored for whole counting)",
+    )
+    counted = argparse.ArgumentParser(add_help=False, parents=[analysis])
+    counted.add_argument(
+        "--method", choices=["whole", "fractional"], default="whole", help="counting method"
+    )
+
+    p = sub.add_parser(
+        "ingest", parents=[inputs], help="validate a record stream and report problems"
+    )
     p.add_argument(
         "--emit",
         choices=["report", "jsonl", "csv"],
@@ -505,29 +507,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_ingest)
 
-    p = sub.add_parser("count", help="per-country scores under one counting method")
-    _add_io_flags(p)
-    _add_filter_flags(p)
-    _add_method_flags(p)
+    p = sub.add_parser(
+        "count", parents=[counted], help="per-country scores under one counting method"
+    )
     p.add_argument("--group", help="restrict to one subject group before counting")
     p.set_defaults(func=_cmd_count)
 
-    p = sub.add_parser("collab", help="collaboration indicators per country")
-    _add_io_flags(p)
-    _add_filter_flags(p)
+    p = sub.add_parser("collab", parents=[analysis], help="collaboration indicators per country")
     p.add_argument(
         "--basis",
         choices=["fc", "wc"],
         default="fc",
         help="denominator for reduction_pct: (wc-fc)/fc or (wc-fc)/wc",
     )
-    _add_method_flags(p, whole=False)
     p.set_defaults(func=_cmd_collab)
 
-    p = sub.add_parser("rank", help="ranked country table")
-    _add_io_flags(p)
-    _add_filter_flags(p)
-    _add_method_flags(p)
+    p = sub.add_parser("rank", parents=[counted], help="ranked country table")
     p.add_argument("--group", help="restrict to one subject group before ranking")
     p.add_argument(
         "--include-unresolved",
@@ -536,10 +531,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_rank)
 
-    p = sub.add_parser("correlate", help="rank-correlation matrix across subject slices")
-    _add_io_flags(p)
-    _add_filter_flags(p)
-    _add_method_flags(p)
+    p = sub.add_parser(
+        "correlate", parents=[counted], help="rank-correlation matrix across subject slices"
+    )
     p.add_argument(
         "--slices",
         required=True,
@@ -550,14 +544,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_correlate)
 
-    p = sub.add_parser("subjects", help="per-group counts and ranks in one long table")
-    _add_io_flags(p)
-    _add_filter_flags(p)
-    _add_method_flags(p)
+    p = sub.add_parser(
+        "subjects", parents=[counted], help="per-group counts and ranks in one long table"
+    )
     p.set_defaults(func=_cmd_subjects)
 
-    p = sub.add_parser("replicate", help="recompute the bundled reference tables")
-    _add_io_flags(p, corpus_input=False)
+    p = sub.add_parser("replicate", parents=[output], help="recompute the bundled reference tables")
     p.add_argument(
         "--target",
         choices=list(_REPLICATE_TARGETS),

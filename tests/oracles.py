@@ -250,11 +250,14 @@ def _oracle_authors(raw_sets, ref, report):
 
 
 def oracle_parse_jsonl(source, *, scheme=None, provenance="jsonl"):
+    """Reference JSONL parser. Its line split is the library's: a text
+    splits on "\n" only, and each line drops a trailing "\r"."""
     report = ValidationReport()
     records = []
     seen_ids = set()
 
-    for lineno, line in enumerate(_oracle_lines(source), start=1):
+    lines = source.split("\n") if isinstance(source, str) else source
+    for lineno, line in enumerate(_oracle_lines(lines), start=1):
         if not line.strip():
             continue
         ref = f"line {lineno}"

@@ -129,6 +129,30 @@ class TestFlagsBeforeInput:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {message}")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--group", "nope"],
+            ["rank", "--group", "nope"],
+            ["correlate", "--slices", "all,nope"],
+        ],
+        ids=["count-group", "rank-group", "correlate-slices"],
+    )
+    def test_unknown_group_wins_over_unreadable_input(self, capsys, tmp_path, unreadable, argv):
+        scheme = tmp_path / "scheme.json"
+        scheme.write_text('{"phys": ["PHYS"]}', encoding="utf-8")
+        code, out, err = invoke(capsys, *argv, "--scheme", str(scheme), "--input", unreadable)
+        assert (code, out) == (1, "")
+        assert err == "error: unknown subject group 'nope'; defined: ['phys']\n"
+
+    def test_broken_scheme_wins_over_missing_input(self, capsys, tmp_path):
+        scheme = tmp_path / "broken.json"
+        scheme.write_text("{not json", encoding="utf-8")
+        missing = str(tmp_path / "missing.jsonl")
+        code, out, err = invoke(capsys, "count", "--scheme", str(scheme), "--input", missing)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: --scheme file {str(scheme)!r} is not valid JSON: ")
+
 
 class TestNonUtf8Input:
     def test_names_input_and_byte_without_chunk_offset(self, capsys, tmp_path):
@@ -264,6 +288,11 @@ class TestCount:
         )
         assert code == 0
         assert out == "country,whole\nGB,1\nUS,2\n"
+
+    def test_group_all_is_the_whole_input(self, capsys, corpus_file):
+        assert invoke(capsys, "count", "--input", corpus_file, "--group", "ALL") == invoke(
+            capsys, "count", "--input", corpus_file
+        )
 
     def test_doc_type_filter_flag(self, capsys, tmp_path):
         corpus = Corpus((rec("p1", ["US"]), rec("p2", ["GB"], doc_type=DocType.OTHER)))

@@ -61,6 +61,10 @@ class TestPercentages:
     def test_reduction_wc_basis(self):
         assert reduction_pct(3, 2, ReductionBasis.WC_BASIS) == pytest.approx(100 / 3)
 
+    def test_reduction_requires_positive_counts(self):
+        with pytest.raises(UndefinedInputError):
+            reduction_pct(3, 0)
+
     def test_reduction_rejects_fc_above_wc(self):
         with pytest.raises(UndefinedInputError):
             reduction_pct(2, 3)

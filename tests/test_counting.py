@@ -124,6 +124,9 @@ class TestSubjectGroups:
         with pytest.raises(UnknownGroupError):
             slice_corpus(mixed_corpus, "astrology")
 
+    def test_all_slice_is_the_corpus(self, mixed_corpus):
+        assert slice_corpus(mixed_corpus, ALL_FIELDS) is mixed_corpus
+
     def test_empty_subjects_match_only_all(self, mixed_corpus):
         tables = subject_group_count(mixed_corpus)
         in_groups = set()

@@ -300,12 +300,9 @@ def assert_same_parse(ours, reference):
 
 
 class TestReferenceParserEquivalence:
-    # parse_jsonl splits text on "\n" only; oracle_parse_jsonl splits text
-    # with str.splitlines, which also breaks on "\x0c", so the oracle is
-    # given the text's "\n"-separated lines
     @pytest.mark.parametrize("line", JSONL_GRID)
     def test_jsonl_row(self, line):
-        assert_same_parse(parse_jsonl(line), oracle_parse_jsonl(line.split("\n")))
+        assert_same_parse(parse_jsonl(line), oracle_parse_jsonl(line))
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
@@ -313,7 +310,7 @@ class TestReferenceParserEquivalence:
         lines = JSONL_GRID[:]
         random.Random(seed).shuffle(lines)
         text = newline.join(lines)
-        assert_same_parse(parse_jsonl(text), oracle_parse_jsonl(text.split("\n")))
+        assert_same_parse(parse_jsonl(text), oracle_parse_jsonl(text))
         as_file = [line + newline for line in lines]
         assert_same_parse(parse_jsonl(as_file), oracle_parse_jsonl(as_file))
 
@@ -571,6 +568,14 @@ class TestAggregateCsv:
         assert rows[0].tp == 4033
         assert rows[0].rank == 17
 
+    def test_wrong_column_count_is_fatal(self):
+        with pytest.raises(SchemaError, match="expected 4 columns, got 3"):
+            parse_aggregate_csv("country,wc,fc,icp\nGB,1,1\n")
+
+    def test_group_ranks_bad_value_is_fatal(self):
+        with pytest.raises(SchemaError, match="bad rank row for 'RU'/'phys'"):
+            parse_group_ranks_csv("country,group,tp,rank\nRU,phys,x,17\n")
+
 
 class TestTables:
     def test_format_number_half_up(self):
@@ -588,6 +593,17 @@ class TestTables:
         import numpy as np
 
         assert format_number(np.float64(0.84), 2) == "0.84"
+
+    def test_format_number_rejects_bool(self):
+        with pytest.raises(TypeError):
+            format_number(True)
+
+    def test_format_number_float_unrounded_is_repr(self):
+        assert format_number(0.1 + 0.2) == "0.30000000000000004"
+
+    def test_precision_per_column(self):
+        with pytest.raises(ValueError, match="one entry per column"):
+            write_table(["a", "b"], [], "csv", [1])
 
     def test_csv_table(self):
         out = write_table(["a", "b"], [["x", 1.25], ["y", None]], "csv", [None, 1])

@@ -87,6 +87,10 @@ class TestAssignRanks:
         with pytest.raises(UndefinedInputError):
             assign_ranks({})
 
+    def test_rank_of_unranked_country(self):
+        with pytest.raises(KeyError):
+            assign_ranks({"US": 1.0}).rank_of("GB")
+
     @settings(max_examples=40, deadline=None)
     @given(
         st.dictionaries(

@@ -140,6 +140,10 @@ class TestRankCorrelations:
         c = replicate_rank_correlations(fixtures).get("pearson_icp_reduction")
         assert c.computed == pytest.approx(0.98, abs=0.01)
 
+    def test_unknown_coefficient(self, fixtures):
+        with pytest.raises(KeyError):
+            replicate_rank_correlations(fixtures).get("kendall")
+
     def test_wc_fc_squared_rank_distance(self, fixtures):
         # the scalar behind srcc_wc_fc: fc reorders the wc ranking with
         # a total squared displacement of 70

@@ -27,6 +27,14 @@ class TestParams:
         with pytest.raises(ValueError):
             SynthParams(seed=1, n_records=5, authors_min=4, authors_max=2)
 
+    def test_negative_record_count_rejected(self):
+        with pytest.raises(ValueError):
+            SynthParams(seed=1, n_records=-1)
+
+    def test_subject_bounds_checked(self):
+        with pytest.raises(ValueError):
+            SynthParams(seed=1, n_records=5, subjects_min=3, subjects_max=2)
+
     def test_single_country_cannot_collaborate(self):
         with pytest.raises(ValueError):
             SynthParams(
