@@ -243,11 +243,15 @@ def _write_rows(
     _write_output(write_table(headers, rows, args.format, precision=precision), args.output)
 
 
+def _group_name(name: str) -> str:
+    """A ``--group`` or ``--slices`` name: ``all`` in any case is the unrestricted slice."""
+    return ALL_FIELDS if name.lower() == "all" else name
+
+
 def _group_count(args: argparse.Namespace) -> ScoreTable:
     """Load and filter the input, restrict it to ``--group``, then count."""
-    corpus = _filtered_corpus(args, [args.group] if args.group else ())
-    if args.group:
-        corpus = slice_corpus(corpus, args.group)
+    group = _group_name(args.group) if args.group else ALL_FIELDS
+    corpus = slice_corpus(_filtered_corpus(args, [group]), group)
     # the public count functions, which perfbench/worker.py wraps by name
     if args.method == "whole":
         return whole_count(corpus)
@@ -257,7 +261,7 @@ def _group_count(args: argparse.Namespace) -> ScoreTable:
 def _slice_tables(args: argparse.Namespace) -> dict[str, ScoreTable]:
     """Load and filter the input, then count each of ``--slices``."""
     names = _names(args.slices, "--slices", "subject group")
-    groups = [ALL_FIELDS if n.lower() == "all" else n for n in names]
+    groups = [_group_name(n) for n in names]
     return subject_group_count(_filtered_corpus(args, groups), _method(args), groups)
 
 

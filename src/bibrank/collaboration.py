@@ -16,16 +16,11 @@ fractional count (fc) and international collaborative paper count (icp):
 from __future__ import annotations
 
 import enum
-from collections import Counter
 from dataclasses import dataclass
 
-from .counting import (
-    CountMethod,
-    FractionalMode,
-    ScoreTable,
-    fractional_count,
-    whole_count,
-)
+from .counting import CountMethod, FractionalMode, ScoreTable, _ICP, _is_international, _sweep
+# perfbench/worker.py wraps these names in this module; nothing here calls them
+from .counting import fractional_count, whole_count  # noqa: F401
 from .errors import UndefinedInputError
 from .ingest import CountryAggregate
 from .model import ALL_FIELDS, Corpus, PublicationRecord, countries_of
@@ -40,17 +35,12 @@ class ReductionBasis(enum.Enum):
 
 def is_international(record: PublicationRecord) -> bool:
     """True when the record's authors span at least two resolved countries."""
-    return len(countries_of(record)) >= 2
+    return _is_international(countries_of(record))
 
 
 def icp_count(corpus: Corpus) -> ScoreTable:
     """Per-country count of international records (whole-counted)."""
-    # every addend is 1, so the sums are exact whole numbers in any order
-    counts = Counter(
-        c for r in corpus.records if is_international(r) for c in countries_of(r)
-    )
-    scores = {c: float(n) for c, n in sorted(counts.items())}
-    return ScoreTable(CountMethod.WHOLE, ALL_FIELDS, scores, len(corpus.records))
+    return _sweep(corpus, [_ICP], [ALL_FIELDS])[_ICP][ALL_FIELDS]
 
 
 def icp_pct(wc: float, icp: float) -> float:
@@ -133,9 +123,9 @@ def country_metrics(
     ties. ``ZZ`` is excluded: the indicators compare national counting
     methods and the unresolved bucket is not a country.
     """
-    wc = whole_count(corpus)
-    fc = fractional_count(corpus, mode)
-    icp = icp_count(corpus)
+    methods = [CountMethod.WHOLE, mode.method, _ICP]
+    tables = _sweep(corpus, methods, [ALL_FIELDS])
+    wc, fc, icp = (tables[m][ALL_FIELDS] for m in methods)
     aggregates = [
         CountryAggregate(c, wc.score(c), fc.score(c), int(icp.score(c)))
         for c in wc.countries()

@@ -21,17 +21,18 @@ common denominator (n times the lcm of the authors' country counts) and
 divided exactly once per country, so a single-country record contributes
 exactly 1.0 to that country and accumulation order cannot leak rounding
 differences. Every count is one sweep over the records in record-id order,
-which makes every score bit-identical under permutation of the input. Each
-record's shares are computed once and added to every requested table it
-belongs to (``ALL`` and any subject groups); unknown group names raise
-before any record is counted.
+which makes every score bit-identical under permutation of the input. One
+sweep counts every requested method, icp included, and adds each record's
+shares once to every requested table it belongs to (``ALL`` and any
+subject groups); unknown group names raise before any record is counted.
 
-A record's shares depend only on its author-country pattern, the tuple of
-its authors' country sets in author order. Each sweep memoizes the shares
-per pattern and drops the memo on return, so records that repeat a
-pattern reuse one computation and no state outlives the call. A pattern's
-shares are stored from its second record on: in wide corpora most
-patterns occur once, and for those the memo holds only the key.
+Each sweep memoizes shares and drops every memo on return. A record is
+looked up by the identity of its ``authors`` tuple, which ingest and
+``generate`` share between records with the same author list, and a new
+tuple by its pattern, the tuple of its authors' country sets.
+Fractional-author shares are memoized per pattern; whole,
+fractional-country and icp shares per country union and whether any
+author is unresolved. Group membership is memoized per subject set.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from math import lcm
 from operator import attrgetter
 from typing import Mapping
 
-from .model import ALL_FIELDS, Corpus, PublicationRecord, UNRESOLVED, countries_of
+from .model import ALL_FIELDS, Corpus, UNRESOLVED, countries_of
 
 
 class CountMethod(enum.Enum):
@@ -88,82 +89,101 @@ class ScoreTable(object):
         )
 
 
-def _whole_shares(record: PublicationRecord) -> dict[str, float]:
-    shares = {c: 1.0 for c in countries_of(record)}
-    if any(a.unresolved for a in record.authors):
-        shares[UNRESOLVED] = 1.0
-    return shares
+_ICP = "icp"  # the key under which _sweep counts international records
+_Shares = list[tuple[str, float]]
 
 
-def _fractional_author_shares(record: PublicationRecord) -> dict[str, float]:
-    n = len(record.authors)
-    ks = [len(a.countries) for a in record.authors]
+def _is_international(countries: frozenset[str]) -> bool:
+    # at least two distinct resolved countries; ZZ is never in the set
+    return len(countries) >= 2
+
+
+def _union_shares(union: frozenset[str], unresolved: bool) -> dict[object, _Shares]:
+    """Whole, fractional-country and icp shares of a record's country union."""
+    whole = [(c, 1.0) for c in union]
+    return {
+        CountMethod.WHOLE: whole + [(UNRESOLVED, 1.0)] if unresolved else whole,
+        CountMethod.FRACTIONAL_COUNTRY: [(c, 1 / len(union)) for c in union] or [(UNRESOLVED, 1.0)],
+        _ICP: whole if _is_international(union) else [],
+    }
+
+
+def _fractional_author_shares(pattern: tuple[frozenset[str], ...]) -> _Shares:
+    n = len(pattern)
+    ks = [len(countries) for countries in pattern]
     # common denominator: every author's per-country share is an integer
     # number of units, so the record total is exactly n*scale units
     scale = lcm(*(k for k in ks if k), 1)
     denom = n * scale
     units: dict[str, int] = {}
-    for author, k in zip(record.authors, ks):
+    for countries, k in zip(pattern, ks):
         if k == 0:
             units[UNRESOLVED] = units.get(UNRESOLVED, 0) + scale
             continue
         per_country = scale // k
-        for country in author.countries:
+        for country in countries:
             units[country] = units.get(country, 0) + per_country
-    return {c: u / denom for c, u in units.items()}
-
-
-def _fractional_country_shares(record: PublicationRecord) -> dict[str, float]:
-    countries = countries_of(record)
-    if not countries:
-        return {UNRESOLVED: 1.0}
-    k = len(countries)
-    return {c: 1 / k for c in countries}
-
-
-_SHARES = {
-    CountMethod.WHOLE: _whole_shares,
-    CountMethod.FRACTIONAL_AUTHOR: _fractional_author_shares,
-    CountMethod.FRACTIONAL_COUNTRY: _fractional_country_shares,
-}
+    return [(c, u / denom) for c, u in units.items()]
 
 
 def _sweep(
-    corpus: Corpus, method: CountMethod, groups: list[str]
-) -> dict[str, ScoreTable]:
-    # one (group, its codes or None for ALL, scores) slot per distinct name
-    slots = [
-        (g, None if g == ALL_FIELDS else corpus.scheme.group(g), {})
-        for g in dict.fromkeys(groups)
-    ]
-    shares_of = _SHARES[method]
-    counted = dict.fromkeys(groups, 0)
+    corpus: Corpus, methods: list[object], groups: list[str]
+) -> dict[object, dict[str, ScoreTable]]:
+    """Count each of ``methods`` (``_ICP`` too) for each group in one id-ordered pass."""
+    names = list(dict.fromkeys(groups))
+    codes_of = [None if g == ALL_FIELDS else corpus.scheme.group(g) for g in names]
+    methods = list(dict.fromkeys(methods))
+    scores: list[list[dict[str, float]]] = [[{} for _ in methods] for _ in names]
+    counted = [0] * len(names)
+    by_tuple: dict[int, list[_Shares]] = {}
     # keyed by the country sets rather than the AuthorRef tuple: a frozenset
     # caches its hash, a dataclass recomputes it in Python on every lookup
-    memo: dict[tuple[frozenset[str], ...], tuple[tuple[str, float], ...] | None] = {}
+    by_pattern: dict[tuple[frozenset[str], ...], list[_Shares]] = {}
+    # fractional-author shares alone need no country union
+    by_union = {} if set(methods) - {CountMethod.FRACTIONAL_AUTHOR} else None
+    per_union: dict[object, _Shares] = {}
+    by_subjects: dict[frozenset[str], list[int]] = {}
     for record in sorted(corpus.records, key=attrgetter("id")):
-        pattern = tuple([a.countries for a in record.authors])
-        shares = memo.get(pattern)
+        authors, subjects = record.authors, record.subjects
+        shares = by_tuple.get(id(authors))
         if shares is None:
-            # one addend per country per record: the order within it is moot
-            shares = shares_of(record).items()
-            # shares are kept from a pattern's second record on, so a
-            # pattern that never repeats costs only its key
-            memo[pattern] = tuple(shares) if pattern in memo else None
-        for group, codes, scores in slots:
-            if codes is None or not codes.isdisjoint(record.subjects):
-                for country, share in shares:
-                    scores[country] = scores.get(country, 0.0) + share
-                counted[group] += 1
+            pattern = tuple([a.countries for a in authors])
+            shares = by_pattern.get(pattern)
+            if shares is None:
+                if by_union is not None:
+                    key = (countries_of(record), not all(pattern))
+                    per_union = by_union.get(key) or by_union.setdefault(key, _union_shares(*key))
+                shares = by_pattern[pattern] = [
+                    _fractional_author_shares(pattern)
+                    if m is CountMethod.FRACTIONAL_AUTHOR
+                    else per_union[m]
+                    for m in methods
+                ]
+            by_tuple[id(authors)] = shares
+        members = by_subjects.get(subjects)
+        if members is None:
+            members = by_subjects[subjects] = [
+                i for i, codes in enumerate(codes_of)
+                if codes is None or not codes.isdisjoint(subjects)
+            ]
+        # one addend per country per record and table: the order within it is moot
+        for i in members:
+            counted[i] += 1
+            for table, pairs in zip(scores[i], shares):
+                for country, share in pairs:
+                    table[country] = table.get(country, 0.0) + share
     return {
-        g: ScoreTable(method, g, dict(sorted(scores.items())), counted[g])
-        for g, _, scores in slots
+        m: {
+            g: ScoreTable(CountMethod.WHOLE if m == _ICP else m, g, dict(sorted(t.items())), n)
+            for g, t, n in zip(names, (row[j] for row in scores), counted)
+        }
+        for j, m in enumerate(methods)
     }
 
 
 def whole_count(corpus: Corpus) -> ScoreTable:
     """Count each record once per country appearing on it."""
-    return _sweep(corpus, CountMethod.WHOLE, [ALL_FIELDS])[ALL_FIELDS]
+    return _sweep(corpus, [CountMethod.WHOLE], [ALL_FIELDS])[CountMethod.WHOLE][ALL_FIELDS]
 
 
 class FractionalMode(enum.Enum):
@@ -188,7 +208,7 @@ def fractional_count(
     distinct countries. Total credit equals the number of records up to
     float rounding.
     """
-    return _sweep(corpus, mode.method, [ALL_FIELDS])[ALL_FIELDS]
+    return _sweep(corpus, [mode.method], [ALL_FIELDS])[mode.method][ALL_FIELDS]
 
 
 def slice_corpus(corpus: Corpus, group: str) -> Corpus:
@@ -219,4 +239,4 @@ def subject_group_count(
     """
     if groups is None:
         groups = [ALL_FIELDS, *corpus.scheme.names]
-    return _sweep(corpus, method, groups)
+    return _sweep(corpus, [method], groups)[method]

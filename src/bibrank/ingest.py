@@ -119,6 +119,23 @@ def _csv_rows(
         raise SchemaError(f"row {rownum + 1}: {exc}") from None
 
 
+_Authors = tuple[tuple[AuthorRef, ...], tuple[str, ...]]
+
+
+class _Slot(object):
+    """One distinct raw author of a parse: its interned author and warnings.
+
+    Hashed and compared by identity, so a tuple of slots is a cheap key for
+    the author list that holds them.
+    """
+
+    __slots__ = ("author", "warnings")
+
+    def __init__(self, author: AuthorRef, warnings: tuple[str, ...]) -> None:
+        self.author = author
+        self.warnings = warnings
+
+
 class _Batch(object):
     """State of one parse call: report, accepted records and interning memo.
 
@@ -131,13 +148,17 @@ class _Batch(object):
         self.report = ValidationReport()
         self.records: list[PublicationRecord] = []
         self.seen_ids: set[str] = set()
-        # raw author country tuple -> (interned author, warnings it raises)
-        self.authors: dict[tuple[str, ...], tuple[AuthorRef, tuple[str, ...]]] = {}
+        # raw author country tuple -> its slot
+        self.authors: dict[tuple[str, ...], _Slot] = {}
         # normalized country set -> the one AuthorRef that carries it
         self.refs: dict[frozenset[str], AuthorRef] = {}
         self.build_author = partial(_author, self.refs)
         # raw subject tuple -> interned subject set
         self.subjects: dict[tuple[str, ...], frozenset[str]] = {}
+        # an author list's slots -> its shared authors tuple and warnings
+        self.author_lists: dict[tuple[_Slot, ...], _Authors] = {}
+        # raw CSV author_countries cell -> the same
+        self.author_cells: dict[str, _Authors] = {}
 
     def reject(self, ref: str, message: str) -> None:
         self.report.errors.append((ref, message))
@@ -196,9 +217,7 @@ def _interned(
         return None
 
 
-def _author(
-    refs: dict[frozenset[str], AuthorRef], raw: tuple[str, ...]
-) -> tuple[AuthorRef, tuple[str, ...]]:
+def _author(refs: dict[frozenset[str], AuthorRef], raw: tuple[str, ...]) -> _Slot:
     # runs once per distinct raw country tuple of a parse
     warnings = []
     for code in raw:
@@ -209,31 +228,49 @@ def _author(
     author = refs.setdefault(author.countries, author)
     if author.unresolved:
         warnings.append("author with no resolvable country; credited to ZZ")
-    return author, tuple(warnings)
+    return _Slot(author, tuple(warnings))
 
 
-def _take_authors(
-    raw: Any, ref: str, batch: _Batch
-) -> tuple[tuple[AuthorRef, ...], list[str]] | None:
-    """Interned authors and their warnings; None when the row is rejected."""
+def _take_authors(raw: Any, ref: str, batch: _Batch) -> _Authors | None:
+    """Shared authors tuple and its warnings; None when the row is rejected."""
     if not isinstance(raw, list) or not raw:
         batch.reject(ref, "missing or empty authors")
         return None
     build = batch.build_author
-    authors = []
-    warnings: list[str] = []
+    slots = []
     for entry in raw:
         if not isinstance(entry, dict):
             batch.reject(ref, "author entry is not an object")
             return None
         countries = entry.get("countries", [])
-        hit = _interned(batch.authors, countries, build) if isinstance(countries, list) else None
-        if hit is None:
+        slot = _interned(batch.authors, countries, build) if isinstance(countries, list) else None
+        if slot is None:
             batch.reject(ref, "author countries must be a list of strings")
             return None
-        authors.append(hit[0])
-        warnings += hit[1]
-    return tuple(authors), warnings
+        slots.append(slot)
+    key = tuple(slots)
+    taken = batch.author_lists.get(key)
+    if taken is None:
+        taken = batch.author_lists[key] = (
+            tuple([slot.author for slot in slots]),
+            tuple([message for slot in slots for message in slot.warnings]),
+        )
+    return taken
+
+
+def _take_author_cell(cell: str, ref: str, batch: _Batch) -> _Authors | None:
+    """:func:`_take_authors` of a CSV ``author_countries`` cell, once per distinct cell."""
+    taken = batch.author_cells.get(cell)
+    if taken is None:
+        tokens = [
+            {"countries": [c for c in token.split("+") if c.strip()]}
+            for token in (cell.split("|") if cell else ())
+        ]
+        taken = _take_authors(tokens, ref, batch)
+        # a rejected cell is not stored: each row holding it reports its error
+        if taken is not None:
+            batch.author_cells[cell] = taken
+    return taken
 
 
 def _subject_set(raw: tuple[str, ...]) -> frozenset[str]:
@@ -241,11 +278,17 @@ def _subject_set(raw: tuple[str, ...]) -> frozenset[str]:
 
 
 def _build_record(
-    batch: _Batch, ref: str, row: dict[str, Any], *, year_first: bool = False
+    batch: _Batch,
+    ref: str,
+    row: dict[str, Any],
+    *,
+    year_first: bool = False,
+    take_authors: Callable[[Any, str, _Batch], _Authors | None] = _take_authors,
 ) -> None:
     """Check one tokenized row; append its record to ``batch`` or reject it.
 
-    ``row`` has the JSONL object shape; CSV rows are tokenized into it. CSV
+    ``row`` has the JSONL object shape; CSV rows are tokenized into it, but
+    for the raw ``author_countries`` cell, which ``take_authors`` reads. CSV
     checks the year before the authors and JSONL after them (``year_first``);
     the order decides which error a row with several problems reports.
     """
@@ -260,7 +303,7 @@ def _build_record(
 
     if year_first and (year := _take_year(row.get("year"), ref, batch)) is None:
         return
-    taken = _take_authors(row.get("authors"), ref, batch)
+    taken = take_authors(row.get("authors"), ref, batch)
     if taken is None:
         return
     if not year_first and (year := _take_year(row.get("year"), ref, batch)) is None:
@@ -382,12 +425,9 @@ def parse_csv(
             "year": _csv_year(raw_year),
             "doc_type": raw_doc,
             "subjects": raw_subjects.split(";"),
-            "authors": [
-                {"countries": [c for c in token.split("+") if c.strip()]}
-                for token in (raw_authors.split("|") if raw_authors else ())
-            ],
+            "authors": raw_authors,
         }
-        _build_record(batch, ref, tokens, year_first=True)
+        _build_record(batch, ref, tokens, year_first=True, take_authors=_take_author_cell)
     return batch.finish(scheme, provenance)
 
 

@@ -117,9 +117,11 @@ def generate(params: SynthParams, scheme: SubjectScheme | None = None) -> Corpus
     # per country: the CDF with that country's weight set to zero
     cdf_without: dict[int, list[float]] = {}
     singles = [AuthorRef(frozenset((c,))) for c in countries]
-    binational: dict[frozenset[str], AuthorRef] = {}
     pool = params.subject_pool
     subject_sets: dict[tuple[int, ...], frozenset[str]] = {}
+    # an author list's countries, an index per single-country author and the
+    # set of a binational one -> the one tuple of AuthorRefs that holds them
+    author_lists: dict[tuple[int | frozenset[str], ...], tuple[AuthorRef, ...]] = {}
 
     records = []
     for i in range(params.n_records):
@@ -139,14 +141,19 @@ def generate(params: SynthParams, scheme: SubjectScheme | None = None) -> Corpus
                     cdf_without[first] = _cdf(remaining)
                 second = bisect_right(cdf_without[first], rng.random())
             if n_authors == 1:
-                both = frozenset((countries[first], countries[second]))
-                authors = [binational.get(both) or binational.setdefault(both, AuthorRef(both))]
+                key = (frozenset((countries[first], countries[second])),)
             else:
-                authors = [singles[first], singles[second]]
+                picks = [first, second]
                 for _ in range(n_authors - 2):
-                    authors.append(singles[first] if rng.random() < 0.5 else singles[second])
+                    picks.append(first if rng.random() < 0.5 else second)
+                key = tuple(picks)
         else:
-            authors = [singles[bisect_right(cdf, rng.random())]] * n_authors
+            key = (bisect_right(cdf, rng.random()),) * n_authors
+        authors = author_lists.get(key)
+        if authors is None:
+            authors = author_lists[key] = tuple(
+                AuthorRef(k) if isinstance(k, frozenset) else singles[k] for k in key
+            )
 
         n_subjects = int(rng.integers(params.subjects_min, params.subjects_max + 1))
         if n_subjects:
@@ -163,7 +170,7 @@ def generate(params: SynthParams, scheme: SubjectScheme | None = None) -> Corpus
                 year=params.year,
                 doc_type=DocType.ARTICLE,
                 subjects=subjects,
-                authors=tuple(authors),
+                authors=authors,
             )
         )
 

@@ -294,6 +294,14 @@ class TestCount:
             capsys, "count", "--input", corpus_file
         )
 
+    @pytest.mark.parametrize("command", ["count", "rank"])
+    @pytest.mark.parametrize("name", ["all", "All"])
+    def test_group_all_in_any_case_is_the_whole_input(self, capsys, corpus_file, command, name):
+        # as --slices reads it, with or without a --scheme
+        assert invoke(capsys, command, "--input", corpus_file, "--group", name) == invoke(
+            capsys, command, "--input", corpus_file
+        )
+
     def test_doc_type_filter_flag(self, capsys, tmp_path):
         corpus = Corpus((rec("p1", ["US"]), rec("p2", ["GB"], doc_type=DocType.OTHER)))
         path = tmp_path / "c.jsonl"

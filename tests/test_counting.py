@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bibrank import counting
-from bibrank.collaboration import icp_count
+from bibrank.collaboration import country_metrics, derive_metrics, icp_count
 from bibrank.counting import (
     CountMethod,
     FractionalMode,
@@ -18,11 +18,13 @@ from bibrank.counting import (
     whole_count,
 )
 from bibrank.errors import UnknownGroupError
+from bibrank.ingest import CountryAggregate, parse_csv, parse_jsonl, to_csv, to_jsonl
 from bibrank.model import (
     ALL_FIELDS,
     UNRESOLVED,
     AuthorRef,
     Corpus,
+    DocType,
     PublicationRecord,
     SubjectScheme,
 )
@@ -320,6 +322,25 @@ def _same_union(seed: int, n_records: int) -> Corpus:
     )
 
 
+def _reused_tuples(seed: int, n_records: int, source: Corpus) -> Corpus:
+    """Records that reuse a few authors tuple objects under different subjects."""
+    rng = random.Random(seed)
+    tuples = [r.authors for r in source.records[:12]]
+    return Corpus(
+        tuple(
+            PublicationRecord(
+                f"t{rng.randrange(10**6):06d}-{i}",
+                2016,
+                DocType.ARTICLE,
+                frozenset(rng.sample(_SWEEP_SUBJECTS, rng.randint(0, 3))),
+                rng.choice(tuples),
+            )
+            for i in range(n_records)
+        ),
+        SWEEP_SCHEME,
+    )
+
+
 def _sweep_corpora() -> dict[str, Corpus]:
     messy = random_corpus(random.Random(7), 300, SWEEP_SCHEME)
     wide = generate(
@@ -338,6 +359,7 @@ def _sweep_corpora() -> dict[str, Corpus]:
     no_subjects = Corpus(
         tuple(replace(r, subjects=frozenset()) for r in messy.records), SWEEP_SCHEME
     )
+    same_union = _same_union(17, 200)
     return {
         "messy": messy,
         "messy-shuffled": _shuffled(messy, 1),
@@ -345,7 +367,12 @@ def _sweep_corpora() -> dict[str, Corpus]:
         "wide-orphaned": _orphaned(wide),
         "no-subjects": no_subjects,
         "distinct-patterns": _distinct_patterns(13, 300),
-        "same-union": _same_union(17, 200),
+        "same-union": same_union,
+        # parsed: records with the same raw author list share one tuple
+        "wide-jsonl": parse_jsonl(to_jsonl(wide), scheme=SWEEP_SCHEME)[0],
+        "messy-csv": parse_csv(to_csv(messy), scheme=SWEEP_SCHEME)[0],
+        "same-union-csv": parse_csv(to_csv(same_union), scheme=SWEEP_SCHEME)[0],
+        "reused-tuples": _reused_tuples(19, 200, messy),
         "empty": Corpus((), SWEEP_SCHEME),
     }
 
@@ -404,12 +431,44 @@ class TestSweepMatchesFrozenPasses:
         assert len({c for r in distinct for a in r.authors for c in a.countries}) == 60
         same_union = SWEEP_CORPORA["same-union"].records
         assert len({tuple(a.countries for a in r.authors) for r in same_union}) == len(_SPLITS)
+        # equal patterns held in distinct tuple objects
+        assert len({id(r.authors) for r in same_union}) == len(same_union)
+        # parsed corpora share tuples, one per distinct pattern here
+        for name in ("wide-jsonl", "same-union-csv"):
+            parsed = SWEEP_CORPORA[name].records
+            patterns = {tuple(a.countries for a in r.authors) for r in parsed}
+            assert len({id(r.authors) for r in parsed}) == len(patterns) < len(parsed)
+        # one tuple object under records of different subjects
+        reused = SWEEP_CORPORA["reused-tuples"].records
+        subjects_by_tuple: dict = {}
+        for r in reused:
+            subjects_by_tuple.setdefault(id(r.authors), set()).add(r.subjects)
+        assert len(subjects_by_tuple) <= 12
+        assert all(len(subjects) > 1 for subjects in subjects_by_tuple.values())
+
+    @pytest.mark.parametrize("name", SWEEP_CORPORA)
+    @pytest.mark.parametrize("mode", list(FractionalMode))
+    def test_country_metrics(self, name, mode):
+        corpus = SWEEP_CORPORA[name]
+        wc = oracle_count(corpus, CountMethod.WHOLE, ALL_FIELDS)
+        fc = oracle_count(corpus, mode.method, ALL_FIELDS)
+        icp = oracle_icp_count(corpus)
+        aggregates = [
+            CountryAggregate(c, wc.score(c), fc.score(c), int(icp.score(c)))
+            for c in wc.countries()
+            if fc.score(c) > 0
+        ]
+        expected = sorted(derive_metrics(aggregates), key=lambda m: (-m.wc, m.country))
+        new = country_metrics(corpus, mode=mode)
+        assert new == expected
+        assert repr(new) == repr(expected)
 
     def test_unknown_group_raises_before_counting(self, monkeypatch):
-        def no_shares(record):
+        def no_shares(*args):
             raise AssertionError("counted a record before checking the groups")
 
-        monkeypatch.setitem(counting._SHARES, CountMethod.WHOLE, no_shares)
+        # every method's shares start from the record's country union
+        monkeypatch.setattr(counting, "_union_shares", no_shares)
         with pytest.raises(UnknownGroupError):
             subject_group_count(
                 SWEEP_CORPORA["messy"], CountMethod.WHOLE, [ALL_FIELDS, "nope"]

@@ -19,6 +19,7 @@ from bibrank.ingest import (
     to_jsonl,
 )
 from bibrank.model import AuthorRef, Corpus, DocType, PublicationRecord
+from bibrank.synth import SynthParams, generate
 from bibrank.tables import format_number, write_table
 
 from conftest import rec
@@ -368,6 +369,83 @@ class TestInterning:
         assert first.records == second.records
         assert first.records[0].authors[1] is not second.records[0].authors[1]
         assert first.records[0].subjects is not second.records[0].subjects
+
+    SHARED = "\n".join(
+        [
+            _row("a", authors=[{"countries": ["US", "GB"]}, {"countries": ["US"]}]),
+            _row("b", authors=[{"countries": ["US", "GB"]}, {"countries": ["US"]}]),
+            _row("c", authors=[{"countries": ["US"]}, {"countries": ["US", "GB"]}]),
+        ]
+    )
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_equal_author_lists_share_one_tuple_within_a_parse(self, fmt):
+        text = self.SHARED if fmt == "jsonl" else to_csv(parse_jsonl(self.SHARED)[0])
+        parse = parse_jsonl if fmt == "jsonl" else parse_csv
+        first, _ = parse(text)
+        a, b, c = first.records
+        assert a.authors is b.authors
+        # the same authors in another order are another list
+        assert c.authors is not a.authors and c.authors == a.authors[::-1]
+        second, _ = parse(text)
+        assert second.records == first.records
+        assert not {id(r.authors) for r in first.records} & {id(r.authors) for r in second.records}
+
+    def test_csv_cells_with_equal_raw_countries_share_one_tuple(self):
+        # an empty country between "+" signs is dropped, so these cells differ
+        # as text but hold the same raw author lists
+        text = "id,year,doc_type,subjects,author_countries\n" + "".join(
+            f"{i},2016,article,PHYS,{cell}\n" for i, cell in enumerate(["US|GB", "US+|GB", "US|GB+"])
+        )
+        corpus, _ = parse_csv(text)
+        assert len({id(r.authors) for r in corpus.records}) == 1
+
+    def test_generate_shares_author_tuples_within_a_corpus(self):
+        params = SynthParams(seed=3, n_records=500)
+        first, second = generate(params), generate(params)
+        tuples_by_pattern: dict = {}
+        for r in first.records:
+            pattern = tuple(a.countries for a in r.authors)
+            tuples_by_pattern.setdefault(pattern, set()).add(id(r.authors))
+        assert all(len(ids) == 1 for ids in tuples_by_pattern.values())
+        assert len(tuples_by_pattern) < len(first.records) / 2
+        assert not {id(r.authors) for r in first.records} & {id(r.authors) for r in second.records}
+
+    WARNED = [
+        ("a", "country 'Narnia' is not a recognized name or two-letter code"),
+        ("a", "author with no resolvable country; credited to ZZ"),
+        ("b", "missing year; defaulting to 0"),
+        ("b", "country 'Narnia' is not a recognized name or two-letter code"),
+        ("b", "author with no resolvable country; credited to ZZ"),
+        ("c", "missing doc_type; treated as 'other'"),
+        ("c", "country 'Narnia' is not a recognized name or two-letter code"),
+        ("c", "author with no resolvable country; credited to ZZ"),
+    ]
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_shared_author_lists_warn_for_every_record_in_order(self, fmt):
+        if fmt == "jsonl":
+            authors = [{"countries": ["Narnia"]}, {"countries": []}]
+            text = "\n".join(
+                [
+                    _row("a", authors=authors),
+                    _row("b", authors=authors, year=None),
+                    _row("c", authors=authors, doc_type=None),
+                ]
+            )
+            parse, oracle = parse_jsonl, oracle_parse_jsonl
+        else:
+            text = (
+                "id,year,doc_type,subjects,author_countries\n"
+                "a,2016,article,PHYS,Narnia|ZZ\n"
+                "b,,article,PHYS,Narnia|ZZ\n"
+                "c,2016,,PHYS,Narnia|ZZ\n"
+            )
+            parse, oracle = parse_csv, oracle_parse_csv
+        corpus, report = parse(text)
+        assert corpus.records[0].authors is corpus.records[2].authors
+        assert report.warnings == self.WARNED
+        assert_same_parse((corpus, report), oracle(text))
 
     def test_each_distinct_string_normalized_once(self, monkeypatch):
         from bibrank import ingest
