@@ -35,8 +35,12 @@ to ``json.loads`` itself, so every error is the one it raises, the
 
 Both formats are tokenized into the JSONL object shape and checked by one
 record builder. Within one parse call, authors with equal raw country lists
-share one interned :class:`AuthorRef` and records with equal raw subject
-lists share one subject set; both are frozen, so the sharing is safe.
+share one interned :class:`AuthorRef`, records with equal raw author lists
+share one ``authors`` tuple and records with equal raw subject lists share
+one subject set; all are immutable, so the sharing is safe. A shared author
+list keeps its warnings, which are reported again for every record that
+holds it. CSV looks the raw ``author_countries`` cell up first, so a
+repeated cell is neither split nor checked again.
 The writers serialize each distinct subject set and author country set
 once per call and reuse the text for every record that holds it.
 """
@@ -137,11 +141,11 @@ class _Slot(object):
 
 
 class _Batch(object):
-    """State of one parse call: report, accepted records and interning memo.
+    """State of one parse call: report, accepted records and interning memos.
 
     Each parse creates its own batch and drops it on return, so no two
-    parses share a memo. Interned values are frozen, so sharing one
-    ``AuthorRef`` or subject set between records is safe.
+    parses share a memo. Interned values are immutable, so sharing one
+    ``AuthorRef``, ``authors`` tuple or subject set between records is safe.
     """
 
     def __init__(self) -> None:

@@ -8,9 +8,10 @@ The weighted country draws reproduce numpy's ``Generator.choice(...,
 p=...)`` stream without calling it per record: the cumulative weights are
 built once per call the way ``choice`` builds them, and each pick is a
 bisection of one ``Generator.random()`` draw. Within one corpus, authors
-with the same countries share one :class:`AuthorRef` and records with the
-same subject pick share one subject set; both are frozen, so the sharing
-is safe.
+with the same countries share one :class:`AuthorRef`, records whose
+authors have the same countries in the same order share one ``authors``
+tuple, and records with the same subject pick share one subject set; all
+are immutable, so the sharing is safe.
 
 Each record flips one biased coin for "international". A domestic record
 draws one country and gives it to every author. An international record
