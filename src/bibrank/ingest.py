@@ -358,6 +358,22 @@ def _decode(line: str) -> Any:
     return json.loads(line.rstrip("\n").rstrip("\r"))
 
 
+def _split_lines(text: str) -> Iterator[str]:
+    """``text.split("\n")``, one line at a time.
+
+    A string splits on ``"\n"`` only: ``to_jsonl`` writes U+2028, U+0085 and
+    the other characters ``str.splitlines()`` also breaks on raw inside
+    strings. Yielding the lines one by one keeps a second copy of the whole
+    text out of memory while its records are built.
+    """
+    start = 0
+    find = text.find
+    while (end := find("\n", start)) >= 0:
+        yield text[start:end]
+        start = end + 1
+    yield text[start:]
+
+
 def parse_jsonl(
     source: str | Iterable[str],
     *,
@@ -373,12 +389,8 @@ def parse_jsonl(
     lines are ignored.
     """
     batch = _Batch()
-    # a string splits on "\n" only: to_jsonl writes U+2028, U+0085 and the
-    # other characters str.splitlines() also breaks on raw inside strings.
-    # Only the loop's iterator holds the split lines, so they are freed
-    # when it is exhausted, before the corpus is built.
     for lineno, line in enumerate(
-        source.split("\n") if isinstance(source, str) else source, start=1
+        _split_lines(source) if isinstance(source, str) else source, start=1
     ):
         if not line.strip():
             continue

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from bibrank.errors import SchemaError
 from bibrank.ingest import (
     DEFAULT_DOC_TYPES,
+    _split_lines,
     apply_filter,
     parse_aggregate_csv,
     parse_csv,
@@ -39,6 +40,10 @@ class TestParseJsonl:
         assert r.doc_type is DocType.ARTICLE
         assert r.subjects == frozenset({"PHYS"})
         assert r.authors[0].countries == frozenset({"IN"})
+
+    @pytest.mark.parametrize("text", ["", "\n", MINIMAL, MINIMAL + "\n", "\n\n" + MINIMAL + "\r\n\u2028"])
+    def test_text_is_read_line_by_line_as_split_on_newline(self, text):
+        assert list(_split_lines(text)) == text.split("\n")
 
     def test_duplicate_id_rejected_keeps_first(self):
         corpus, report = parse_jsonl(MINIMAL + "\n" + MINIMAL)
