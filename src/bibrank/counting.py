@@ -91,6 +91,7 @@ class ScoreTable(object):
 
 _ICP = "icp"  # the key under which _sweep counts international records
 _Shares = list[tuple[str, float]]
+_UNION_METHODS = (CountMethod.WHOLE, CountMethod.FRACTIONAL_COUNTRY, _ICP)
 
 
 def _is_international(countries: frozenset[str]) -> bool:
@@ -98,29 +99,30 @@ def _is_international(countries: frozenset[str]) -> bool:
     return len(countries) >= 2
 
 
-def _union_shares(union: frozenset[str], unresolved: bool) -> dict[object, _Shares]:
+def _union_shares(union: frozenset[str], unresolved: bool) -> tuple[_Shares, _Shares, _Shares]:
     """Whole, fractional-country and icp shares of a record's country union."""
     whole = [(c, 1.0) for c in union]
-    return {
-        CountMethod.WHOLE: whole + [(UNRESOLVED, 1.0)] if unresolved else whole,
-        CountMethod.FRACTIONAL_COUNTRY: [(c, 1 / len(union)) for c in union] or [(UNRESOLVED, 1.0)],
-        _ICP: whole if _is_international(union) else [],
-    }
+    return (
+        whole + [(UNRESOLVED, 1.0)] if unresolved else whole,
+        [(c, 1 / len(union)) for c in union] or [(UNRESOLVED, 1.0)],
+        whole if _is_international(union) else [],
+    )
 
 
 def _fractional_author_shares(pattern: tuple[frozenset[str], ...]) -> _Shares:
-    n = len(pattern)
-    ks = [len(countries) for countries in pattern]
+    # m authors with the same k countries give each of them m*(scale//k) units
+    distinct = dict.fromkeys(pattern)
     # common denominator: every author's per-country share is an integer
     # number of units, so the record total is exactly n*scale units
-    scale = lcm(*(k for k in ks if k), 1)
-    denom = n * scale
+    scale = lcm(*filter(None, map(len, distinct)))
+    denom = len(pattern) * scale
     units: dict[str, int] = {}
-    for countries, k in zip(pattern, ks):
+    for countries in distinct:
+        k = len(countries)
         if k == 0:
-            units[UNRESOLVED] = units.get(UNRESOLVED, 0) + scale
+            units[UNRESOLVED] = pattern.count(countries) * scale
             continue
-        per_country = scale // k
+        per_country = pattern.count(countries) * (scale // k)
         for country in countries:
             units[country] = units.get(country, 0) + per_country
     return [(c, u / denom) for c, u in units.items()]
@@ -139,9 +141,13 @@ def _sweep(
     # keyed by the country sets rather than the AuthorRef tuple: a frozenset
     # caches its hash, a dataclass recomputes it in Python on every lookup
     by_pattern: dict[tuple[frozenset[str], ...], list[_Shares]] = {}
-    # fractional-author shares alone need no country union
-    by_union = {} if set(methods) - {CountMethod.FRACTIONAL_AUTHOR} else None
-    per_union: dict[object, _Shares] = {}
+    # per method: its position in _union_shares, None for fractional-author
+    # (a position, as an Enum dict key would hash in Python on every lookup)
+    where = [
+        None if m is CountMethod.FRACTIONAL_AUTHOR else _UNION_METHODS.index(m) for m in methods
+    ]
+    by_union = {} if any(j is not None for j in where) else None
+    per_union: tuple[_Shares, ...] = ()
     by_subjects: dict[frozenset[str], list[int]] = {}
     for record in sorted(corpus.records, key=attrgetter("id")):
         authors, subjects = record.authors, record.subjects
@@ -154,10 +160,7 @@ def _sweep(
                     key = (countries_of(record), not all(pattern))
                     per_union = by_union.get(key) or by_union.setdefault(key, _union_shares(*key))
                 shares = by_pattern[pattern] = [
-                    _fractional_author_shares(pattern)
-                    if m is CountMethod.FRACTIONAL_AUTHOR
-                    else per_union[m]
-                    for m in methods
+                    _fractional_author_shares(pattern) if j is None else per_union[j] for j in where
                 ]
             by_tuple[id(authors)] = shares
         members = by_subjects.get(subjects)
