@@ -19,8 +19,7 @@ import enum
 from dataclasses import dataclass
 
 from .counting import CountMethod, FractionalMode, ScoreTable, _ICP, _is_international, _sweep
-# perfbench/worker.py wraps these names in this module; nothing here calls them
-from .counting import fractional_count, whole_count  # noqa: F401
+from .counting import fractional_count, whole_count  # noqa: F401 - perfbench wraps them here
 from .errors import UndefinedInputError
 from .ingest import CountryAggregate
 from .model import ALL_FIELDS, Corpus, PublicationRecord, countries_of

@@ -28,11 +28,10 @@ subject groups); unknown group names raise before any record is counted.
 
 Each sweep memoizes shares and drops every memo on return. A record is
 looked up by the identity of its ``authors`` tuple, which ingest and
-``generate`` share between records with the same author list, and a new
-tuple by its pattern, the tuple of its authors' country sets.
-Fractional-author shares are memoized per pattern; whole,
-fractional-country and icp shares per country union and whether any
-author is unresolved. Group membership is memoized per subject set.
+``generate`` share between records with the same author list. A new tuple
+falls back to its pattern, the tuple of its authors' country sets, for
+fractional-author shares, and to its country union and whether any author
+is unresolved for the others. Group membership is memoized per subject set.
 """
 
 from __future__ import annotations
@@ -90,8 +89,8 @@ class ScoreTable(object):
 
 
 _ICP = "icp"  # the key under which _sweep counts international records
-_Shares = list[tuple[str, float]]
-_UNION_METHODS = (CountMethod.WHOLE, CountMethod.FRACTIONAL_COUNTRY, _ICP)
+_Shares = dict[str, float]
+_UNION_POSITION = {CountMethod.WHOLE: 0, CountMethod.FRACTIONAL_COUNTRY: 1, _ICP: 2}
 
 
 def _is_international(countries: frozenset[str]) -> bool:
@@ -101,12 +100,11 @@ def _is_international(countries: frozenset[str]) -> bool:
 
 def _union_shares(union: frozenset[str], unresolved: bool) -> tuple[_Shares, _Shares, _Shares]:
     """Whole, fractional-country and icp shares of a record's country union."""
-    whole = [(c, 1.0) for c in union]
-    return (
-        whole + [(UNRESOLVED, 1.0)] if unresolved else whole,
-        [(c, 1 / len(union)) for c in union] or [(UNRESOLVED, 1.0)],
-        whole if _is_international(union) else [],
-    )
+    whole = dict.fromkeys(union, 1.0)
+    icp = dict(whole) if _is_international(union) else {}
+    if unresolved:
+        whole[UNRESOLVED] = 1.0
+    return whole, dict.fromkeys(union, 1 / len(union)) if union else {UNRESOLVED: 1.0}, icp
 
 
 def _fractional_author_shares(pattern: tuple[frozenset[str], ...]) -> _Shares:
@@ -125,7 +123,7 @@ def _fractional_author_shares(pattern: tuple[frozenset[str], ...]) -> _Shares:
         per_country = pattern.count(countries) * (scale // k)
         for country in countries:
             units[country] = units.get(country, 0) + per_country
-    return [(c, u / denom) for c, u in units.items()]
+    return {c: u / denom for c, u in units.items()}
 
 
 def _sweep(
@@ -137,32 +135,35 @@ def _sweep(
     methods = list(dict.fromkeys(methods))
     scores: list[list[dict[str, float]]] = [[{} for _ in methods] for _ in names]
     counted = [0] * len(names)
-    by_tuple: dict[int, list[_Shares]] = {}
-    # keyed by the country sets rather than the AuthorRef tuple: a frozenset
-    # caches its hash, a dataclass recomputes it in Python on every lookup
-    by_pattern: dict[tuple[frozenset[str], ...], list[_Shares]] = {}
-    # per method: its position in _union_shares, None for fractional-author
+    by_tuple: dict[int, tuple[_Shares, ...]] = {}
+    # fractional-author shares per pattern of country sets: a frozenset caches
+    # its hash, an AuthorRef would recompute it in Python on every lookup
+    by_pattern: dict[tuple[frozenset[str], ...], _Shares] = {}
+    # _union_shares per country union, apart for records with an unresolved author
+    by_union: tuple[dict[frozenset[str], tuple[_Shares, ...]], ...] = ({}, {})
+    # each method's position in _union_shares, None for fractional-author
     # (a position, as an Enum dict key would hash in Python on every lookup)
-    where = [
-        None if m is CountMethod.FRACTIONAL_AUTHOR else _UNION_METHODS.index(m) for m in methods
-    ]
-    by_union = {} if any(j is not None for j in where) else None
-    per_union: tuple[_Shares, ...] = ()
+    where = [_UNION_POSITION.get(m) for m in methods]
+    wants_pattern, wants_union = None in where, any(j is not None for j in where)
     by_subjects: dict[frozenset[str], list[int]] = {}
     for record in sorted(corpus.records, key=attrgetter("id")):
         authors, subjects = record.authors, record.subjects
         shares = by_tuple.get(id(authors))
         if shares is None:
             pattern = tuple([a.countries for a in authors])
-            shares = by_pattern.get(pattern)
-            if shares is None:
-                if by_union is not None:
-                    key = (countries_of(record), not all(pattern))
-                    per_union = by_union.get(key) or by_union.setdefault(key, _union_shares(*key))
-                shares = by_pattern[pattern] = [
-                    _fractional_author_shares(pattern) if j is None else per_union[j] for j in where
-                ]
-            by_tuple[id(authors)] = shares
+            if wants_pattern:
+                fa = by_pattern.get(pattern) or by_pattern.setdefault(
+                    pattern, _fractional_author_shares(pattern)
+                )
+            if wants_union:
+                union, unresolved = countries_of(record), not all(pattern)
+                memo = by_union[unresolved]
+                per_union = memo.get(union) or memo.setdefault(
+                    union, _union_shares(union, unresolved)
+                )
+            shares = by_tuple[id(authors)] = tuple(
+                [fa if j is None else per_union[j] for j in where]
+            )
         members = by_subjects.get(subjects)
         if members is None:
             members = by_subjects[subjects] = [
@@ -173,7 +174,7 @@ def _sweep(
         for i in members:
             counted[i] += 1
             for table, pairs in zip(scores[i], shares):
-                for country, share in pairs:
+                for country, share in pairs.items():
                     table[country] = table.get(country, 0.0) + share
     return {
         m: {

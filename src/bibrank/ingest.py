@@ -359,9 +359,9 @@ def _decode(line: str) -> Any:
 
 
 def _split_lines(text: str) -> Iterator[str]:
-    """``text.split("\n")``, one line at a time.
+    """``text.split("\\n")``, one line at a time.
 
-    A string splits on ``"\n"`` only: ``to_jsonl`` writes U+2028, U+0085 and
+    A string splits on ``"\\n"`` only: ``to_jsonl`` writes U+2028, U+0085 and
     the other characters ``str.splitlines()`` also breaks on raw inside
     strings. Yielding the lines one by one keeps a second copy of the whole
     text out of memory while its records are built.
