@@ -139,11 +139,11 @@ def _sweep(
     # fractional-author shares per pattern of country sets: a frozenset caches
     # its hash, an AuthorRef would recompute it in Python on every lookup
     by_pattern: dict[tuple[frozenset[str], ...], _Shares] = {}
-    # _union_shares per country union, apart for records with an unresolved author
+    # _union_shares per country union, split by whether an author is unresolved
     by_union: tuple[dict[frozenset[str], tuple[_Shares, ...]], ...] = ({}, {})
     # each method's position in _union_shares, None for fractional-author
     # (a position, as an Enum dict key would hash in Python on every lookup)
-    where = [_UNION_POSITION.get(m) for m in methods]
+    where = [None if m is CountMethod.FRACTIONAL_AUTHOR else _UNION_POSITION[m] for m in methods]
     wants_pattern, wants_union = None in where, any(j is not None for j in where)
     by_subjects: dict[frozenset[str], list[int]] = {}
     for record in sorted(corpus.records, key=attrgetter("id")):
