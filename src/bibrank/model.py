@@ -162,7 +162,7 @@ class SubjectScheme(object):
     A record belongs to a group when any of its subject codes is in the
     group's set; membership is counted once per record regardless of how many
     codes match. The label ``ALL`` is reserved for the unrestricted slice and
-    cannot be redefined.
+    cannot be redefined, in any case: the command line reads ``all`` as it.
     """
 
     groups: Mapping[str, frozenset[str]] = field(default_factory=dict)
@@ -172,9 +172,9 @@ class SubjectScheme(object):
         for name, codes in self.groups.items():
             if not name or not name.strip():
                 raise ValueError("subject group name must be non-empty")
-            if name == ALL_FIELDS:
+            if name.lower() == ALL_FIELDS.lower():
                 raise ValueError(
-                    f"group name {ALL_FIELDS!r} is reserved for the unrestricted slice"
+                    f"group name {name!r} is reserved for the unrestricted slice"
                 )
             frozen[name] = frozenset(str(c).strip() for c in codes)
         object.__setattr__(self, "groups", frozen)

@@ -90,6 +90,7 @@ class TestExitCodes:
             ('["PHYS"]', " must map group names to arrays of subject codes"),
             ('{" ": ["PHYS"]}', ": subject group name must be non-empty"),
             ('{"ALL": ["PHYS"]}', ": group name 'ALL' is reserved for the unrestricted slice"),
+            ('{"all": ["PHYS"]}', ": group name 'all' is reserved for the unrestricted slice"),
         ],
     )
     def test_scheme_file_of_wrong_shape_names_file_and_flag(

@@ -100,6 +100,12 @@ class TestSubjectScheme:
         with pytest.raises(ValueError):
             SubjectScheme({ALL_FIELDS: frozenset({"X"})})
 
+    @pytest.mark.parametrize("name", ["all", "All", "aLL"])
+    def test_all_fields_name_reserved_in_any_case(self, name):
+        # the command line reads `all` in any case as the unrestricted slice
+        with pytest.raises(ValueError, match=f"group name {name!r} is reserved"):
+            SubjectScheme({name: frozenset({"X"}), "life": frozenset({"BIO"})})
+
     def test_empty_group_name_rejected(self):
         with pytest.raises(ValueError):
             SubjectScheme({" ": frozenset({"X"})})
