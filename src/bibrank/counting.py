@@ -28,10 +28,13 @@ subject groups); unknown group names raise before any record is counted.
 
 Each sweep memoizes shares and drops every memo on return. A record is
 looked up by the identity of its ``authors`` tuple, which ingest and
-``generate`` share between records with the same author list. A new tuple
-falls back to its pattern, the tuple of its authors' country sets, for
-fractional-author shares, and to its country union and whether any author
-is unresolved for the others. Group membership is memoized per subject set.
+``generate`` share between records with the same author list; a record
+whose tuple is new to the sweep is priced afresh, so a hand-built corpus
+that shares none is counted the same, only slower. A new tuple computes its
+fractional-author shares from its authors' country sets and looks up the
+other methods' by its country union and whether any author is unresolved.
+Group membership is memoized per subject set, so subjects must be hashable,
+as the frozenset that ``PublicationRecord`` declares is.
 """
 
 from __future__ import annotations
@@ -90,21 +93,11 @@ class ScoreTable(object):
 
 _ICP = "icp"  # the key under which _sweep counts international records
 _Shares = dict[str, float]
-_UNION_POSITION = {CountMethod.WHOLE: 0, CountMethod.FRACTIONAL_COUNTRY: 1, _ICP: 2}
 
 
 def _is_international(countries: frozenset[str]) -> bool:
     # at least two distinct resolved countries; ZZ is never in the set
     return len(countries) >= 2
-
-
-def _union_shares(union: frozenset[str], unresolved: bool) -> tuple[_Shares, _Shares, _Shares]:
-    """Whole, fractional-country and icp shares of a record's country union."""
-    whole = dict.fromkeys(union, 1.0)
-    icp = dict(whole) if _is_international(union) else {}
-    if unresolved:
-        whole[UNRESOLVED] = 1.0
-    return whole, dict.fromkeys(union, 1 / len(union)) if union else {UNRESOLVED: 1.0}, icp
 
 
 def _fractional_author_shares(pattern: tuple[frozenset[str], ...]) -> _Shares:
@@ -126,6 +119,20 @@ def _fractional_author_shares(pattern: tuple[frozenset[str], ...]) -> _Shares:
     return {c: u / denom for c, u in units.items()}
 
 
+def _union_shares(union: frozenset[str], unresolved: bool, method: object) -> _Shares | None:
+    """A record's shares under ``method`` from its country union; None for fractional-author."""
+    if method is CountMethod.FRACTIONAL_AUTHOR:
+        return None
+    if method is CountMethod.FRACTIONAL_COUNTRY:
+        return dict.fromkeys(union, 1 / len(union)) if union else {UNRESOLVED: 1.0}
+    if method == _ICP:
+        return dict.fromkeys(union, 1.0) if _is_international(union) else {}
+    whole = dict.fromkeys(union, 1.0)
+    if unresolved:
+        whole[UNRESOLVED] = 1.0
+    return whole
+
+
 def _sweep(
     corpus: Corpus, methods: list[object], groups: list[str]
 ) -> dict[object, dict[str, ScoreTable]]:
@@ -135,35 +142,26 @@ def _sweep(
     methods = list(dict.fromkeys(methods))
     scores: list[list[dict[str, float]]] = [[{} for _ in methods] for _ in names]
     counted = [0] * len(names)
-    by_tuple: dict[int, tuple[_Shares, ...]] = {}
-    # fractional-author shares per pattern of country sets: a frozenset caches
-    # its hash, an AuthorRef would recompute it in Python on every lookup
-    by_pattern: dict[tuple[frozenset[str], ...], _Shares] = {}
-    # _union_shares per country union, split by whether an author is unresolved
-    by_union: tuple[dict[frozenset[str], tuple[_Shares, ...]], ...] = ({}, {})
-    # each method's position in _union_shares, None for fractional-author
-    # (a position, as an Enum dict key would hash in Python on every lookup)
-    where = [None if m is CountMethod.FRACTIONAL_AUTHOR else _UNION_POSITION[m] for m in methods]
-    wants_pattern, wants_union = None in where, any(j is not None for j in where)
+    by_tuple: dict[int, list[_Shares]] = {}
+    # every method but fractional-author credits by the country union and
+    # whether an author is unresolved, which far fewer author lists differ in
+    by_union: dict[tuple[frozenset[str], bool], list[_Shares | None]] = {}
+    needs_union = methods != [CountMethod.FRACTIONAL_AUTHOR]
     by_subjects: dict[frozenset[str], list[int]] = {}
     for record in sorted(corpus.records, key=attrgetter("id")):
         authors, subjects = record.authors, record.subjects
         shares = by_tuple.get(id(authors))
         if shares is None:
             pattern = tuple([a.countries for a in authors])
-            if wants_pattern:
-                fa = by_pattern.get(pattern) or by_pattern.setdefault(
-                    pattern, _fractional_author_shares(pattern)
-                )
-            if wants_union:
-                union, unresolved = countries_of(record), not all(pattern)
-                memo = by_union[unresolved]
-                per_union = memo.get(union) or memo.setdefault(
-                    union, _union_shares(union, unresolved)
-                )
-            shares = by_tuple[id(authors)] = tuple(
-                [fa if j is None else per_union[j] for j in where]
-            )
+            per_union: list[_Shares | None] | None = [None]
+            if needs_union:
+                key = countries_of(record), not all(pattern)
+                per_union = by_union.get(key)
+                if per_union is None:
+                    per_union = by_union[key] = [_union_shares(*key, m) for m in methods]
+            shares = by_tuple[id(authors)] = [
+                _fractional_author_shares(pattern) if s is None else s for s in per_union
+            ]
         members = by_subjects.get(subjects)
         if members is None:
             members = by_subjects[subjects] = [

@@ -467,9 +467,18 @@ class TestSweepMatchesFrozenPasses:
         def no_shares(*args):
             raise AssertionError("counted a record before checking the groups")
 
-        # every method's shares start from the record's country union
+        # a whole count prices its first record by the record's country union
         monkeypatch.setattr(counting, "_union_shares", no_shares)
         with pytest.raises(UnknownGroupError):
             subject_group_count(
                 SWEEP_CORPORA["messy"], CountMethod.WHOLE, [ALL_FIELDS, "nope"]
             )
+
+    def test_subjects_must_be_hashable(self):
+        # group membership is memoized per subject set, so subjects must be
+        # hashable, as the frozenset that PublicationRecord declares is
+        record = rec("a", ["US"], subjects=("PHYS",))
+        assert whole_count(Corpus((record,))).scores == {"US": 1.0}
+        loose = replace(record, subjects=set(record.subjects))
+        with pytest.raises(TypeError, match="unhashable"):
+            whole_count(Corpus((loose,)))
