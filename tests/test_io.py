@@ -296,6 +296,132 @@ CSV_GRID = [
 ]
 
 
+# Compact lines in and around the form to_jsonl writes: '{"id":"' + id +
+# '",' + the other members + ',"authors":' + the author list + '}'. Each
+# piece is raw JSON text: a well-formed one, drawn most often, or a variant
+# that json.loads or the record checks treat differently.
+def _mostly(good: list[str], other: list[str]) -> st.SearchStrategy[str]:
+    return st.sampled_from(good * 8 + other)
+
+
+_split_members = _mostly(
+    [
+        '"year":2016',
+        '"year":null',
+        '"doc_type":"article"',
+        '"doc_type":"Review "',
+        '"doc_type":"letter"',
+        '"doc_type":5',
+        '"subjects":["PHYS"]',
+        '"subjects":[" PHYS ","","MED"]',
+        '"subjects":["a,\\"authors\\":"]',
+    ],
+    [
+        '"year": 2016',
+        '"year":"2016"',
+        '"year":2016.0',
+        '"year":true',
+        '"doc_type":""',
+        '"subjects":["x,"authors":[]]',
+        '"subjects":"PHYS"',
+        '"subjects":[1]',
+        '"id":"z"',
+        '"id":5',
+        '"authors":[{"countries":["US"]}]',
+        '"authors":5',
+        '"extra":{"authors":1}',
+        '"year":2016,',
+        "",
+    ],
+)
+_split_authors = _mostly(
+    [
+        '[{"countries":["US"]}]',
+        '[{"countries":["US","GB"]},{"countries":["Narnia"]}]',
+        '[{"countries":[]},{"countries":["zz"]}]',
+        '[{"countries":["united states"]}]',
+        '[{"countries":["a,\\"authors\\":"]}]',
+        '[{"countries":["US"]},{"countries":["US"],"authors":[]}]',
+    ],
+    [
+        ' [{"countries":["US"]}]',
+        "[]",
+        '[{"countries":["US",7]}]',
+        '[{"countries":"US"}]',
+        "[{}]",
+        "[1]",
+        '"US"',
+        "[",
+    ],
+)
+_split_separators = _mostly([","], [", ", " ,", ",\t"])
+_split_ends = _mostly(["}"], ["} ", "}\t", "}\r", " }", "} x", "}}", "]", "", "}\n"])
+_split_heads = _mostly(['{"id":'], ['{ "id":', '{"id": ', '\ufeff{"id":'])
+_split_ids = st.one_of(
+    st.sampled_from(["a", "b", " a ", "", "  ", 'q,"authors":[]', "\x00", "\n", '"', "\\", "é"]),
+    st.integers(0, 999).map(lambda n: f"r{n}"),
+)
+
+
+@st.composite
+def _split_form_template(draw):
+    """A line without its id and its end: the text before the id and after it."""
+    members = draw(st.lists(_split_members, max_size=4))
+    members.append(draw(_mostly(['"authors":'], ['"authors": ', '"Authors":'])))
+    after = "".join(draw(_split_separators) + member for member in members)
+    after += draw(_split_authors)
+    return draw(_split_heads), after
+
+
+# what follows the id's closing quote in a compact line; each is parsed
+# under several ids, so a later line repeats an earlier line's pieces
+SPLIT_GRID = [
+    ',"year":2016,"doc_type":"article","subjects":["PHYS"],"authors":[{"countries":["US"]}]}',
+    ',"year":2016,"authors":[{"countries":["US"]}]}',
+    ',"doc_type":"letter","subjects":[" PHYS "],"authors":[{"countries":["Narnia"]},{"countries":[]}]}',
+    ',"year":null,"subjects":["PHYS"],"authors":[{"countries":["Narnia"]},{"countries":[]}]}',
+    ',"id":"z","year":2016,"authors":[{"countries":["US"]}]}',
+    ',"authors":[{"countries":["GB"]}],"year":2016,"authors":[{"countries":["US"]}]}',
+    ',"authors":[{"countries":["US"]}]}',
+    ',,"authors":[{"countries":["US"]}]}',
+    ', ,"authors":[{"countries":["US"]}]}',
+    ',"year":2016,"authors":[{"countries":["US"]}]} x',
+    ',"year":2016,"authors":[{"countries":["US"]}]}}',
+    ',"year":2016,"authors":[{"countries":["US"]}]]',
+    ',"year":2016,"authors":[{"countries":["US"]}]',
+    ',"year":2016,"authors":[{"countries":["US"]}] }\t',
+    ',"year":2016,"authors": [{"countries":["US"]}]}',
+    ',"year":2016, "authors":[{"countries":["US"]}]}',
+    ',"year":"2016","authors":[{"countries":["US"]}]}',
+    ',"year":2016,"subjects":[1],"authors":[{"countries":["US"]}]}',
+    ',"year":2016,"authors":[]}',
+    ',"year":2016,"authors":[{"countries":["US",7]}]}',
+    ',"year":2016,"subjects":["x,\\"authors\\":"],"authors":[{"countries":["a,\\"authors\\":"]}]}',
+    ',"year":2016,"authors":[{"countries":["US"],"authors":[]}]}',
+]
+
+
+def _render_id(rec_id: str, how: str) -> str:
+    if how == "raw":  # unescaped: quotes, backslashes and controls break it
+        return '"' + rec_id + '"'
+    return json.dumps(rec_id, ensure_ascii=how == "ascii")
+
+
+@st.composite
+def split_form_streams(draw):
+    """A JSONL stream whose lines repeat a few templates under fresh ids,
+    so that later lines repeat the members and author list of earlier ones;
+    each line draws its own end."""
+    templates = draw(st.lists(_split_form_template(), min_size=1, max_size=4))
+    lines = []
+    for _ in range(draw(st.integers(1, 12))):
+        before, after = draw(st.sampled_from(templates))
+        how = draw(_mostly(["ascii"], ["unicode", "raw"]))
+        lines.append(before + _render_id(draw(_split_ids), how) + after + draw(_split_ends))
+    lines += draw(st.lists(st.sampled_from(["", "  ", "{nope"]), max_size=2))
+    return draw(st.permutations(lines))
+
+
 def assert_same_parse(ours, reference):
     (corpus, report), (ref_corpus, ref_report) = ours, reference
     assert corpus == ref_corpus
@@ -319,6 +445,30 @@ class TestReferenceParserEquivalence:
         assert_same_parse(parse_jsonl(text), oracle_parse_jsonl(text))
         as_file = [line + newline for line in lines]
         assert_same_parse(parse_jsonl(as_file), oracle_parse_jsonl(as_file))
+
+    @settings(max_examples=300, deadline=None)
+    @given(split_form_streams(), st.sampled_from(["\n", "\r\n"]), st.booleans())
+    def test_jsonl_stream_of_repeated_compact_lines(self, lines, newline, as_file):
+        source = [line + newline for line in lines] if as_file else newline.join(lines)
+        assert_same_parse(parse_jsonl(source), oracle_parse_jsonl(source))
+
+    @pytest.mark.parametrize("after", SPLIT_GRID)
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_jsonl_compact_line_repeated_under_fresh_ids(self, after, newline):
+        ids = ["r1", "r2", "r1", " ", "r3", "r\\u0034", "\x01"]
+        lines = ['{"id":"' + rec_id + '"' + after for rec_id in ids]
+        # then the same lines under new ids
+        text = newline.join(lines + [line.replace('"r', '"s', 1) for line in lines])
+        assert_same_parse(parse_jsonl(text), oracle_parse_jsonl(text))
+        as_file = [line + newline for line in text.split(newline)]
+        assert_same_parse(parse_jsonl(as_file), oracle_parse_jsonl(as_file))
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_jsonl_compact_grid_twice_in_one_stream(self, newline):
+        # the second pass puts every line after every other one
+        lines = ['{"id":"' + f"{n}{i}" + '"' + after for n in "rs" for i, after in enumerate(SPLIT_GRID)]
+        text = newline.join(lines)
+        assert_same_parse(parse_jsonl(text), oracle_parse_jsonl(text))
 
     @pytest.mark.parametrize("row", CSV_GRID)
     def test_csv_row(self, row):
@@ -395,6 +545,24 @@ class TestInterning:
         second, _ = parse(text)
         assert second.records == first.records
         assert not {id(r.authors) for r in first.records} & {id(r.authors) for r in second.records}
+
+    def test_repeated_compact_lines_share_the_objects_of_their_first(self):
+        # to_jsonl's compact form, a repeat of it, and the same author list
+        # and subjects written with spaces
+        lines = [
+            '{"id":"%s","year":2016,"subjects":["PHYS"],"authors":[{"countries":["US"]},{"countries":[]}]}' % i
+            for i in "abc"
+        ]
+        lines.append('{"id": "d", "subjects": ["PHYS"], "authors": [{"countries": ["US"]}, {"countries": []}]}')
+        first, _ = parse_jsonl("\n".join(lines))
+        assert len({id(r.authors) for r in first.records}) == 1
+        assert len({id(r.subjects) for r in first.records}) == 1
+        assert len({id(a) for r in first.records for a in r.authors}) == 2
+        second, _ = parse_jsonl("\n".join(lines))
+        assert second.records == first.records
+        assert second.records[0].authors is not first.records[0].authors
+        assert second.records[0].subjects is not first.records[0].subjects
+        assert not {id(a) for a in first.records[0].authors} & {id(a) for a in second.records[0].authors}
 
     def test_csv_cells_with_equal_raw_countries_share_one_tuple(self):
         # an empty country between "+" signs is dropped, so these cells differ
