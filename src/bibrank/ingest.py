@@ -26,11 +26,19 @@ trailing ``\\r`` dropped, so U+2028, U+0085 and the other characters that
 keep their endings, so quoted fields may hold newlines. The command line
 reads a file or stdin as a stream whose lines also end at a bare ``\\r``.
 
-Each JSONL line is decoded by the ``json`` module's scanner (its C
-implementation where available) without the ``json.loads`` wrappers: the
+JSONL lines are decoded by the ``json`` module's scanner (its C
+implementation where available) without the ``json.loads`` wrappers. A line
+in the compact form ``to_jsonl`` writes, ``{"id":"…",`` + fields +
+``,"authors":`` + author list + ``}``, is read in pieces: the id as the
+decoder reads a string, then the fields text and the author-list text, each
+looked up first among the pieces of lines already accepted in this parse. A
+known piece is neither decoded nor checked again, so a line that repeats an
+earlier line's fields and author list costs its id checks only. Unknown
+pieces are decoded on their own, and together they give the object
+``json.loads`` gives for the line. Any other line is decoded whole; the
 value may follow JSON whitespace only and be followed by JSON whitespace
-only, as ``json.loads`` requires. A line that fails either test is handed
-to ``json.loads`` itself, so every error is the one it raises, the
+only, as ``json.loads`` requires. A line that fails any of these tests is
+handed to ``json.loads`` itself, so every error is the one it raises, the
 "Unexpected UTF-8 BOM" and "Extra data" ones included.
 
 Both formats are tokenized into the JSONL object shape and checked by one
@@ -39,8 +47,8 @@ share one interned :class:`AuthorRef`, records with equal raw author lists
 share one ``authors`` tuple and records with equal raw subject lists share
 one subject set; all are immutable, so the sharing is safe. A shared author
 list keeps its warnings, which are reported again for every record that
-holds it. CSV looks the raw ``author_countries`` cell up first, so a
-repeated cell is neither split nor checked again.
+holds it. CSV looks the raw ``author_countries`` and ``subjects`` cells up
+first, so a repeated cell is neither split nor checked again.
 The writers serialize each distinct subject set and author country set
 once per call and reuse the text for every record that holds it.
 """
@@ -124,6 +132,8 @@ def _csv_rows(
 
 
 _Authors = tuple[tuple[AuthorRef, ...], tuple[str, ...]]
+# an accepted record's year, doc type, subject set and their warnings
+_Fields = tuple[int, DocType, frozenset[str], tuple[str, ...]]
 
 
 class _Slot(object):
@@ -163,6 +173,12 @@ class _Batch(object):
         self.author_lists: dict[tuple[_Slot, ...], _Authors] = {}
         # raw CSV author_countries cell -> the same
         self.author_cells: dict[str, _Authors] = {}
+        # raw CSV subjects cell -> its subject set
+        self.subject_cells: dict[str, frozenset[str]] = {}
+        # JSONL text between a compact line's id and its authors -> _Fields
+        self.fields: dict[str, _Fields] = {}
+        # JSONL text of a compact line's author list and closing brace -> the same
+        self.author_texts: dict[str, _Authors] = {}
 
     def reject(self, ref: str, message: str) -> None:
         self.report.errors.append((ref, message))
@@ -277,8 +293,23 @@ def _take_author_cell(cell: str, ref: str, batch: _Batch) -> _Authors | None:
     return taken
 
 
-def _subject_set(raw: tuple[str, ...]) -> frozenset[str]:
+def _subject_set(raw: Iterable[str]) -> frozenset[str]:
     return frozenset(s.strip() for s in raw if s.strip())
+
+
+def _take_subjects(raw: Any, batch: _Batch) -> frozenset[str] | None:
+    """Interned subject set; None when the row is rejected."""
+    if not isinstance(raw, list):
+        return None
+    return _interned(batch.subjects, raw, _subject_set)
+
+
+def _take_subject_cell(cell: str, batch: _Batch) -> frozenset[str]:
+    """:func:`_take_subjects` of a CSV ``subjects`` cell, once per distinct cell."""
+    subjects = batch.subject_cells.get(cell)
+    if subjects is None:
+        subjects = batch.subject_cells[cell] = _subject_set(cell.split(";"))
+    return subjects
 
 
 def _build_record(
@@ -288,56 +319,66 @@ def _build_record(
     *,
     year_first: bool = False,
     take_authors: Callable[[Any, str, _Batch], _Authors | None] = _take_authors,
-) -> None:
+    take_subjects: Callable[[Any, _Batch], frozenset[str] | None] = _take_subjects,
+) -> _Authors | None:
     """Check one tokenized row; append its record to ``batch`` or reject it.
 
     ``row`` has the JSONL object shape; CSV rows are tokenized into it, but
-    for the raw ``author_countries`` cell, which ``take_authors`` reads. CSV
+    for the raw ``author_countries`` and ``subjects`` cells, which
+    ``take_authors`` and ``take_subjects`` read. CSV
     checks the year before the authors and JSONL after them (``year_first``);
     the order decides which error a row with several problems reports.
+    Returns the record's authors and their warnings when it is accepted.
     """
-    rec_id = row.get("id")
-    if not isinstance(rec_id, str) or not rec_id.strip():
-        batch.reject(ref, "missing or empty id")
-        return
-    rec_id = ref = rec_id.strip()
-    if rec_id in batch.seen_ids:
-        batch.reject(ref, "duplicate record id; first occurrence kept")
-        return
+    rec_id = ref = _take_id(row.get("id"), ref, batch)
+    if rec_id is None:
+        return None
 
     if year_first and (year := _take_year(row.get("year"), ref, batch)) is None:
-        return
+        return None
     taken = take_authors(row.get("authors"), ref, batch)
     if taken is None:
-        return
+        return None
     if not year_first and (year := _take_year(row.get("year"), ref, batch)) is None:
-        return
-    raw_subjects = row.get("subjects", [])
-    subjects = (
-        _interned(batch.subjects, raw_subjects, _subject_set)
-        if isinstance(raw_subjects, list)
-        else None
-    )
+        return None
+    subjects = take_subjects(row.get("subjects", []), batch)
     if subjects is None:
         batch.reject(ref, "subjects must be a list of strings")
-        return
+        return None
 
-    report = batch.report
-    doc_type = _take_doc_type(row.get("doc_type"), ref, report)
+    doc_type = _take_doc_type(row.get("doc_type"), ref, batch.report)
     authors, warnings = taken
+    _accept(batch, PublicationRecord(rec_id, year, doc_type, subjects, authors), warnings)
+    return taken
+
+
+def _take_id(raw: Any, ref: str, batch: _Batch) -> str | None:
+    """The stripped record id; None when the row is rejected for it."""
+    if not isinstance(raw, str) or not raw.strip():
+        batch.reject(ref, "missing or empty id")
+        return None
+    rec_id = raw.strip()
+    if rec_id in batch.seen_ids:
+        batch.reject(rec_id, "duplicate record id; first occurrence kept")
+        return None
+    return rec_id
+
+
+def _accept(batch: _Batch, record: PublicationRecord, warnings: Iterable[str]) -> None:
+    report = batch.report
     for message in warnings:
-        report.warnings.append((ref, message))
-    batch.records.append(
-        PublicationRecord(
-            id=rec_id, year=year, doc_type=doc_type, subjects=subjects, authors=authors
-        )
-    )
-    batch.seen_ids.add(rec_id)
+        report.warnings.append((record.id, message))
+    batch.records.append(record)
+    batch.seen_ids.add(record.id)
     report.records_accepted += 1
 
 
 _scan = json.JSONDecoder().scan_once
 _skip_whitespace = WHITESPACE.match
+_scan_string = json.decoder.scanstring
+_ID_HEAD = '{"id":"'
+_JSON_WHITESPACE = " \t\n\r"
+_AUTHORS_KEY = ',"authors":'
 
 
 def _decode(line: str) -> Any:
@@ -356,6 +397,113 @@ def _decode(line: str) -> Any:
         if _skip_whitespace(line, end).end() == len(line):
             return value
     return json.loads(line.rstrip("\n").rstrip("\r"))
+
+
+def _split_compact(line: str) -> tuple[str, str, str] | None:
+    """The id, fields text and authors text of a line in the compact form.
+
+    The form is ``to_jsonl``'s: ``{"id":"`` + id + ``",`` + fields +
+    ``,"authors":`` + authors, where the authors text holds the value, the
+    closing brace and what follows. The id is read as the decoder reads a
+    string; the fields and authors texts are not checked. None for any
+    other line.
+    """
+    if not line.startswith(_ID_HEAD):
+        return None
+    try:
+        rec_id, end = _scan_string(line, len(_ID_HEAD))
+    except ValueError:
+        return None
+    cut = line.rfind(_AUTHORS_KEY, end)
+    if cut < 0 or not line.startswith(",", end):
+        return None
+    return rec_id, line[end + 1 : cut], line[cut + len(_AUTHORS_KEY) :]
+
+
+def _decode_fields(text: str) -> dict[str, Any] | None:
+    """The object ``{text}`` when it is one non-empty object, else None.
+
+    An empty object is refused: ``{"id":"a","authors":…}`` and the malformed
+    ``{"id":"a",,"authors":…}`` both split into empty fields text.
+    """
+    obj_text = "{" + text + "}"
+    try:
+        obj, end = _scan(obj_text, 0)
+    except (StopIteration, ValueError):
+        return None
+    return obj if obj and end == len(obj_text) else None
+
+
+def _decode_authors(text: str) -> tuple[Any] | None:
+    """``(value,)`` when ``text`` is one JSON value, then ``}``, with JSON
+    whitespace around them, else None."""
+    body = text.lstrip(_JSON_WHITESPACE)
+    try:
+        value, end = _scan(body, 0)
+    except (StopIteration, ValueError):
+        return None
+    return (value,) if body[end:].strip(_JSON_WHITESPACE) == "}" else None
+
+
+def _take_compact(
+    batch: _Batch, ref: str, rec_id: str, fields_text: str, authors_text: str
+) -> bool:
+    """Check a compact line from its pieces; False when they do not decode.
+
+    A piece that an accepted line of this parse already held is neither
+    decoded nor checked again. Pieces that decode make the line valid JSON
+    with the same object ``json.loads`` gives, duplicate keys included, so
+    the line is checked as :func:`_build_record` checks that object; the
+    caller decodes a line whose pieces do not, so every error is the one
+    ``json.loads`` raises.
+    """
+    fields = batch.fields.get(fields_text)
+    taken = batch.author_texts.get(authors_text)
+    if fields is None:
+        obj = _decode_fields(fields_text)
+        raw_authors = _decode_authors(authors_text)
+        if obj is None or raw_authors is None:
+            return False
+        row = {"id": rec_id}
+        row.update(obj)
+        row["authors"] = raw_authors[0]
+        warned = len(batch.report.warnings)
+        taken = _build_record(batch, ref, row)
+        if taken is None:
+            return True
+        batch.author_texts[authors_text] = taken
+        # an "id" among the fields replaces the line's own, so the fields
+        # alone do not make the record
+        if "id" not in obj:
+            record = batch.records[-1]
+            # the record's warnings: year and doc_type, then its authors'
+            warnings = batch.report.warnings[warned : len(batch.report.warnings) - len(taken[1])]
+            batch.fields[fields_text] = (
+                record.year,
+                record.doc_type,
+                record.subjects,
+                tuple([message for _, message in warnings]),
+            )
+        return True
+    # the fields come from an accepted line, so year, subjects and doc_type
+    # pass; the checks that remain run in _build_record's order
+    if taken is None:
+        raw_authors = _decode_authors(authors_text)
+        if raw_authors is None:
+            return False
+    rec_id = _take_id(rec_id, ref, batch)
+    if rec_id is None:
+        return True
+    if taken is None:
+        taken = _take_authors(raw_authors[0], rec_id, batch)
+        if taken is None:
+            return True
+        batch.author_texts[authors_text] = taken
+    year, doc_type, subjects, warnings = fields
+    authors, author_warnings = taken
+    record = PublicationRecord(rec_id, year, doc_type, subjects, authors)
+    _accept(batch, record, warnings + author_warnings)
+    return True
 
 
 def _split_lines(text: str) -> Iterator[str]:
@@ -392,9 +540,12 @@ def parse_jsonl(
     for lineno, line in enumerate(
         _split_lines(source) if isinstance(source, str) else source, start=1
     ):
+        ref = f"line {lineno}"
+        compact = _split_compact(line)
+        if compact is not None and _take_compact(batch, ref, *compact):
+            continue
         if not line.strip():
             continue
-        ref = f"line {lineno}"
         try:
             obj = _decode(line)
         except json.JSONDecodeError as exc:
@@ -440,10 +591,17 @@ def parse_csv(
             "id": rec_id,
             "year": _csv_year(raw_year),
             "doc_type": raw_doc,
-            "subjects": raw_subjects.split(";"),
+            "subjects": raw_subjects,
             "authors": raw_authors,
         }
-        _build_record(batch, ref, tokens, year_first=True, take_authors=_take_author_cell)
+        _build_record(
+            batch,
+            ref,
+            tokens,
+            year_first=True,
+            take_authors=_take_author_cell,
+            take_subjects=_take_subject_cell,
+        )
     return batch.finish(scheme, provenance)
 
 

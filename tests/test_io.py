@@ -517,6 +517,7 @@ class TestInterning:
         corpus, _ = parse_csv(to_csv(parse_jsonl(self.TEXT)[0]))
         a, b, _ = corpus.records
         assert a.authors[0] is b.authors[1]
+        assert a.subjects is b.subjects
 
     def test_parse_calls_share_no_memo(self):
         first, _ = parse_jsonl(self.TEXT)
