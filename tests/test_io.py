@@ -386,6 +386,7 @@ SPLIT_GRID = [
     ',,"authors":[{"countries":["US"]}]}',
     ', ,"authors":[{"countries":["US"]}]}',
     ',"year":2016,"authors":[{"countries":["US"]}]} x',
+    ',"year":2016},{"doc_type":"article","authors":[{"countries":["US"]}]}',
     ',"year":2016,"authors":[{"countries":["US"]}]}}',
     ',"year":2016,"authors":[{"countries":["US"]}]]',
     ',"year":2016,"authors":[{"countries":["US"]}]',
