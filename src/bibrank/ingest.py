@@ -464,17 +464,18 @@ def _take_compact(
         raw_authors = _decode_authors(authors_text)
         if obj is None or raw_authors is None:
             return False
-        row = {"id": rec_id}
-        row.update(obj)
-        row["authors"] = raw_authors[0]
+        # the line's object: an "id" among the fields replaces the line's
+        # own, as in json.loads, so those fields alone do not make the record
+        own_id = "id" not in obj
+        if own_id:
+            obj["id"] = rec_id
+        obj["authors"] = raw_authors[0]
         warned = len(batch.report.warnings)
-        taken = _build_record(batch, ref, row)
+        taken = _build_record(batch, ref, obj)
         if taken is None:
             return True
         batch.author_texts[authors_text] = taken
-        # an "id" among the fields replaces the line's own, so the fields
-        # alone do not make the record
-        if "id" not in obj:
+        if own_id:
             record = batch.records[-1]
             # the record's warnings: year and doc_type, then its authors'
             warnings = batch.report.warnings[warned : len(batch.report.warnings) - len(taken[1])]
