@@ -423,6 +423,38 @@ def split_form_streams(draw):
     return draw(st.permutations(lines))
 
 
+# CSV cells in and around CSV_GRID's: a row is an id plus a template of
+# year, doc_type, subjects and author_countries cells, so later rows repeat
+# the cells of earlier ones under fresh ids
+_csv_years = _mostly(["2016", "", "2017"], ["20x6", "2016.0", " 2016 ", "0", "-1", "  "])
+_csv_doc_types = _mostly(["article", "", "letter"], ["Article ", " REVIEW", "5"])
+_csv_subject_cells = _mostly(
+    ["PHYS", "PHYS;CHEM", ""], [" PHYS ; ;MED", ";", "CHEM;PHYS", " PHYS", "PHYS;PHYS"]
+)
+_csv_author_cells = _mostly(
+    ["US", "IN+US|GB|ZZ", "Narnia|ZZ", ""],
+    ["ZZ|zz|+|  ", "united states+ uk |China", "Atlantis+X1+de", "US+", " US", "|", "+"],
+)
+_csv_ids = st.one_of(
+    st.sampled_from(["a", " a ", "", "  "]), st.integers(0, 999).map(lambda n: f"r{n}")
+)
+
+
+@st.composite
+def csv_row_streams(draw):
+    """CSV rows, header excluded, that repeat a few cell templates under
+    fresh ids; a cell may be quoted, and a few rows have the wrong width."""
+    cells = st.tuples(_csv_years, _csv_doc_types, _csv_subject_cells, _csv_author_cells)
+    templates = draw(st.lists(cells, min_size=1, max_size=4))
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        row = [draw(_csv_ids), *draw(st.sampled_from(templates))]
+        quote = draw(st.lists(st.booleans(), min_size=5, max_size=5))
+        rows.append(",".join(f'"{c}"' if q else c for c, q in zip(row, quote)))
+    rows += draw(st.lists(st.sampled_from(["", ",,,,", "p5,2016,article", "p6,,,,US,x"]), max_size=2))
+    return draw(st.permutations(rows))
+
+
 def assert_same_parse(ours, reference):
     (corpus, report), (ref_corpus, ref_report) = ours, reference
     assert corpus == ref_corpus
@@ -486,6 +518,37 @@ class TestReferenceParserEquivalence:
         assert_same_parse(parse_csv(text), oracle_parse_csv(text))
         as_file = [line + newline for line in lines]
         assert_same_parse(parse_csv(as_file), oracle_parse_csv(as_file))
+
+    @settings(max_examples=300, deadline=None)
+    @given(csv_row_streams(), st.sampled_from(["\n", "\r\n"]), st.booleans())
+    def test_csv_stream_of_repeated_rows(self, rows, newline, as_file):
+        lines = ["id,year,doc_type,subjects,author_countries", *rows]
+        source = [line + newline for line in lines] if as_file else newline.join(lines)
+        assert_same_parse(parse_csv(source), oracle_parse_csv(source))
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_csv_missing_year_warns_before_a_repeated_rows_authors_reject(self, newline):
+        # b repeats a's year, doc_type and subjects cells; CSV checks the
+        # year before the authors, so b still warns for it
+        text = newline.join(
+            [
+                "id,year,doc_type,subjects,author_countries",
+                "a,,letter,PHYS,US",
+                "b,,letter,PHYS,",
+                "c,,letter,PHYS,US",
+            ]
+        )
+        corpus, report = parse_csv(text)
+        assert [r.id for r in corpus.records] == ["a", "c"]
+        assert report.errors == [("b", "missing or empty authors")]
+        assert report.warnings == [
+            ("a", "missing year; defaulting to 0"),
+            ("a", "unknown doc_type 'letter'; treated as 'other'"),
+            ("b", "missing year; defaulting to 0"),
+            ("c", "missing year; defaulting to 0"),
+            ("c", "unknown doc_type 'letter'; treated as 'other'"),
+        ]
+        assert_same_parse((corpus, report), oracle_parse_csv(text))
 
     def test_header_errors_match(self):
         for text in ["", "id,year\np1,2016", "\n"]:
@@ -564,6 +627,19 @@ class TestInterning:
         assert second.records == first.records
         assert second.records[0].authors is not first.records[0].authors
         assert second.records[0].subjects is not first.records[0].subjects
+        assert not {id(a) for a in first.records[0].authors} & {id(a) for a in second.records[0].authors}
+
+    def test_repeated_csv_rows_share_the_objects_of_their_first(self):
+        text = "id,year,doc_type,subjects,author_countries\n" + "".join(
+            f"{i},2016,article,PHYS;MED,US+GB|ZZ\n" for i in "abc"
+        )
+        first, _ = parse_csv(text)
+        assert len({id(r.subjects) for r in first.records}) == 1
+        assert len({id(r.authors) for r in first.records}) == 1
+        second, _ = parse_csv(text)
+        assert second.records == first.records
+        assert second.records[0].subjects is not first.records[0].subjects
+        assert second.records[0].authors is not first.records[0].authors
         assert not {id(a) for a in first.records[0].authors} & {id(a) for a in second.records[0].authors}
 
     def test_csv_cells_with_equal_raw_countries_share_one_tuple(self):
