@@ -26,29 +26,35 @@ trailing ``\\r`` dropped, so U+2028, U+0085 and the other characters that
 keep their endings, so quoted fields may hold newlines. The command line
 reads a file or stdin as a stream whose lines also end at a bare ``\\r``.
 
-JSONL lines are decoded by the ``json`` module's scanner (its C
-implementation where available) without the ``json.loads`` wrappers. A line
-in the compact form ``to_jsonl`` writes, ``{"id":"…",`` + fields +
-``,"authors":`` + author list + ``}``, is read in pieces: the id as the
-decoder reads a string, then the fields text and the author-list text, each
-looked up first among the pieces of lines already accepted in this parse. A
-known piece is neither decoded nor checked again, so a line that repeats an
-earlier line's fields and author list costs its id checks only. Unknown
-pieces are decoded on their own, and together they give the object
-``json.loads`` gives for the line. Any other line is decoded whole; the
-value may follow JSON whitespace only and be followed by JSON whitespace
-only, as ``json.loads`` requires. A line that fails any of these tests is
-handed to ``json.loads`` itself, so every error is the one it raises, the
-"Unexpected UTF-8 BOM" and "Extra data" ones included.
+Both formats are read by one piece reader. A record is an id, a fields
+piece and an authors piece. Each piece is looked up first among the pieces
+of records already accepted in this parse; a known piece is neither
+decoded nor checked again, so a record that repeats an earlier record's
+fields and authors costs its id checks only. Unknown pieces are decoded
+into the JSONL object shape by their format's decoders, and one record
+builder checks that object. CSV checks a record's year before its authors
+and JSONL after them, so a CSV row with a missing year still warns for it
+when its authors are then rejected, a known fields piece included.
 
-Both formats are tokenized into the JSONL object shape and checked by one
-record builder. Within one parse call, authors with equal raw country lists
-share one interned :class:`AuthorRef`, records with equal raw author lists
-share one ``authors`` tuple and records with equal raw subject lists share
-one subject set; all are immutable, so the sharing is safe. A shared author
-list keeps its warnings, which are reported again for every record that
-holds it. CSV looks the raw ``author_countries`` and ``subjects`` cells up
-first, so a repeated cell is neither split nor checked again.
+A CSV row's pieces are its stripped ``(year, doc_type, subjects)`` cells
+and its stripped ``author_countries`` cell. A JSONL line in the compact
+form ``to_jsonl`` writes, ``{"id":"…",`` + fields + ``,"authors":`` + author
+list + ``}``, has its id read as the decoder reads a string, and its
+pieces are the fields text and the author-list text; decoded, they give
+the object ``json.loads`` gives for the line. Any other line is decoded
+whole. The ``json`` module's scanner (its C implementation where
+available) decodes JSONL without the ``json.loads`` wrappers: a whole
+line's value may follow JSON whitespace only and be followed by JSON
+whitespace only, as ``json.loads`` requires. A line that fails any of
+these tests is handed to ``json.loads`` itself, so every error is the one
+it raises, the "Unexpected UTF-8 BOM" and "Extra data" ones included.
+
+Within one parse call, authors with equal raw country lists share one
+interned :class:`AuthorRef`, records with equal raw author lists share one
+``authors`` tuple and records with equal raw subject lists share one
+subject set; all are immutable, so the sharing is safe. A shared author
+list or fields piece keeps its warnings, which are reported again for
+every record that holds it.
 The writers serialize each distinct subject set and author country set
 once per call and reuse the text for every record that holds it.
 """
@@ -132,8 +138,9 @@ def _csv_rows(
 
 
 _Authors = tuple[tuple[AuthorRef, ...], tuple[str, ...]]
-# an accepted record's year, doc type, subject set and their warnings
-_Fields = tuple[int, DocType, frozenset[str], tuple[str, ...]]
+# an accepted record's year, None when missing, which warns again for each
+# record that holds it; its doc type, subject set and the doc type's warnings
+_Fields = tuple[int | None, DocType, frozenset[str], tuple[str, ...]]
 
 
 class _Slot(object):
@@ -171,13 +178,12 @@ class _Batch(object):
         self.subjects: dict[tuple[str, ...], frozenset[str]] = {}
         # an author list's slots -> its shared authors tuple and warnings
         self.author_lists: dict[tuple[_Slot, ...], _Authors] = {}
-        # raw CSV author_countries cell -> the same
-        self.author_cells: dict[str, _Authors] = {}
-        # raw CSV subjects cell -> its subject set
-        self.subject_cells: dict[str, frozenset[str]] = {}
-        # JSONL text between a compact line's id and its authors -> _Fields
-        self.fields: dict[str, _Fields] = {}
-        # JSONL text of a compact line's author list and closing brace -> the same
+        # fields piece -> _Fields: the JSONL text between a compact line's id
+        # and its authors, or a CSV row's (year, doc_type, subjects) cells
+        self.fields: dict[str | tuple[str, str, str], _Fields] = {}
+        # authors piece -> the same as author_lists: the JSONL text of a
+        # compact line's author list and closing brace, or a CSV row's
+        # author_countries cell
         self.author_texts: dict[str, _Authors] = {}
 
     def reject(self, ref: str, message: str) -> None:
@@ -190,20 +196,18 @@ class _Batch(object):
         return Corpus(tuple(self.records), scheme or EMPTY_SCHEME, provenance), self.report
 
 
-def _take_doc_type(raw: Any, ref: str, report: ValidationReport) -> DocType:
+def _take_doc_type(raw: Any) -> tuple[DocType, tuple[str, ...]]:
+    """The doc type and its warnings."""
     # unknown or missing types degrade to OTHER with a warning: they are
     # representable, just excluded by the default analysis filter
     if raw is None or raw == "":
-        report.warnings.append((ref, "missing doc_type; treated as 'other'"))
-        return DocType.OTHER
+        return DocType.OTHER, ("missing doc_type; treated as 'other'",)
     if not isinstance(raw, str):
-        report.warnings.append((ref, f"doc_type {raw!r} is not a string; treated as 'other'"))
-        return DocType.OTHER
+        return DocType.OTHER, (f"doc_type {raw!r} is not a string; treated as 'other'",)
     dt = _WIRE_DOC_TYPES.get(raw.strip().lower())
     if dt is None:
-        report.warnings.append((ref, f"unknown doc_type {raw!r}; treated as 'other'"))
-        return DocType.OTHER
-    return dt
+        return DocType.OTHER, (f"unknown doc_type {raw!r}; treated as 'other'",)
+    return dt, ()
 
 
 def _take_year(raw: Any, ref: str, batch: _Batch) -> int | None:
@@ -278,21 +282,6 @@ def _take_authors(raw: Any, ref: str, batch: _Batch) -> _Authors | None:
     return taken
 
 
-def _take_author_cell(cell: str, ref: str, batch: _Batch) -> _Authors | None:
-    """:func:`_take_authors` of a CSV ``author_countries`` cell, once per distinct cell."""
-    taken = batch.author_cells.get(cell)
-    if taken is None:
-        tokens = [
-            {"countries": [c for c in token.split("+") if c.strip()]}
-            for token in (cell.split("|") if cell else ())
-        ]
-        taken = _take_authors(tokens, ref, batch)
-        # a rejected cell is not stored: each row holding it reports its error
-        if taken is not None:
-            batch.author_cells[cell] = taken
-    return taken
-
-
 def _subject_set(raw: Iterable[str]) -> frozenset[str]:
     return frozenset(s.strip() for s in raw if s.strip())
 
@@ -304,52 +293,38 @@ def _take_subjects(raw: Any, batch: _Batch) -> frozenset[str] | None:
     return _interned(batch.subjects, raw, _subject_set)
 
 
-def _take_subject_cell(cell: str, batch: _Batch) -> frozenset[str]:
-    """:func:`_take_subjects` of a CSV ``subjects`` cell, once per distinct cell."""
-    subjects = batch.subject_cells.get(cell)
-    if subjects is None:
-        subjects = batch.subject_cells[cell] = _subject_set(cell.split(";"))
-    return subjects
-
-
 def _build_record(
-    batch: _Batch,
-    ref: str,
-    row: dict[str, Any],
-    *,
-    year_first: bool = False,
-    take_authors: Callable[[Any, str, _Batch], _Authors | None] = _take_authors,
-    take_subjects: Callable[[Any, _Batch], frozenset[str] | None] = _take_subjects,
-) -> _Authors | None:
-    """Check one tokenized row; append its record to ``batch`` or reject it.
+    batch: _Batch, ref: str, row: dict[str, Any], year_first: bool = False
+) -> tuple[_Fields, _Authors] | None:
+    """Check one row of the JSONL object shape; append its record to
+    ``batch`` or reject it.
 
-    ``row`` has the JSONL object shape; CSV rows are tokenized into it, but
-    for the raw ``author_countries`` and ``subjects`` cells, which
-    ``take_authors`` and ``take_subjects`` read. CSV
-    checks the year before the authors and JSONL after them (``year_first``);
-    the order decides which error a row with several problems reports.
-    Returns the record's authors and their warnings when it is accepted.
+    CSV checks the year before the authors and JSONL after them
+    (``year_first``); the order decides which error a row with several
+    problems reports. Returns the record's fields and its authors, each
+    with their warnings, when it is accepted.
     """
     rec_id = ref = _take_id(row.get("id"), ref, batch)
     if rec_id is None:
         return None
 
-    if year_first and (year := _take_year(row.get("year"), ref, batch)) is None:
+    raw_year = row.get("year")
+    if year_first and (year := _take_year(raw_year, ref, batch)) is None:
         return None
-    taken = take_authors(row.get("authors"), ref, batch)
+    taken = _take_authors(row.get("authors"), ref, batch)
     if taken is None:
         return None
-    if not year_first and (year := _take_year(row.get("year"), ref, batch)) is None:
+    if not year_first and (year := _take_year(raw_year, ref, batch)) is None:
         return None
-    subjects = take_subjects(row.get("subjects", []), batch)
+    subjects = _take_subjects(row.get("subjects", []), batch)
     if subjects is None:
         batch.reject(ref, "subjects must be a list of strings")
         return None
 
-    doc_type = _take_doc_type(row.get("doc_type"), ref, batch.report)
-    authors, warnings = taken
-    _accept(batch, PublicationRecord(rec_id, year, doc_type, subjects, authors), warnings)
-    return taken
+    doc_type, warnings = _take_doc_type(row.get("doc_type"))
+    record = PublicationRecord(rec_id, year, doc_type, subjects, taken[0])
+    _accept(batch, record, warnings + taken[1])
+    return (None if raw_year is None else year, doc_type, subjects, warnings), taken
 
 
 def _take_id(raw: Any, ref: str, batch: _Batch) -> str | None:
@@ -446,61 +421,66 @@ def _decode_authors(text: str) -> tuple[Any] | None:
 
 
 def _take_compact(
-    batch: _Batch, ref: str, rec_id: str, fields_text: str, authors_text: str
+    batch: _Batch,
+    ref: str,
+    rec_id: str,
+    fields_piece: Any,
+    authors_piece: str,
+    decode_fields: Callable[[Any], dict[str, Any] | None],
+    decode_authors: Callable[[str], tuple[Any] | None],
+    year_first: bool = False,
 ) -> bool:
-    """Check a compact line from its pieces; False when they do not decode.
+    """Check a record from its id, fields piece and authors piece; False
+    when the pieces do not decode.
 
-    A piece that an accepted line of this parse already held is neither
-    decoded nor checked again. Pieces that decode make the line valid JSON
-    with the same object ``json.loads`` gives, duplicate keys included, so
-    the line is checked as :func:`_build_record` checks that object; the
+    A piece that an accepted record of this parse already held is neither
+    decoded nor checked again. ``decode_fields`` gives the object of the
+    record's fields and ``decode_authors`` ``(author list,)``, so that the
+    record is checked as :func:`_build_record` checks that object. For a
+    compact JSONL line, pieces that decode make the line valid JSON with
+    the same object ``json.loads`` gives, duplicate keys included; the
     caller decodes a line whose pieces do not, so every error is the one
     ``json.loads`` raises.
     """
-    fields = batch.fields.get(fields_text)
-    taken = batch.author_texts.get(authors_text)
+    fields = batch.fields.get(fields_piece)
+    taken = batch.author_texts.get(authors_piece)
     if fields is None:
-        obj = _decode_fields(fields_text)
-        raw_authors = _decode_authors(authors_text)
+        obj = decode_fields(fields_piece)
+        raw_authors = decode_authors(authors_piece)
         if obj is None or raw_authors is None:
             return False
-        # the line's object: an "id" among the fields replaces the line's
+        # the record's object: an "id" among the fields replaces the line's
         # own, as in json.loads, so those fields alone do not make the record
         own_id = "id" not in obj
         if own_id:
             obj["id"] = rec_id
         obj["authors"] = raw_authors[0]
-        warned = len(batch.report.warnings)
-        taken = _build_record(batch, ref, obj)
-        if taken is None:
+        built = _build_record(batch, ref, obj, year_first)
+        if built is None:
             return True
-        batch.author_texts[authors_text] = taken
+        fields, batch.author_texts[authors_piece] = built
         if own_id:
-            record = batch.records[-1]
-            # the record's warnings: year and doc_type, then its authors'
-            warnings = batch.report.warnings[warned : len(batch.report.warnings) - len(taken[1])]
-            batch.fields[fields_text] = (
-                record.year,
-                record.doc_type,
-                record.subjects,
-                tuple([message for _, message in warnings]),
-            )
+            batch.fields[fields_piece] = fields
         return True
-    # the fields come from an accepted line, so year, subjects and doc_type
-    # pass; the checks that remain run in _build_record's order
+    # the fields come from an accepted record, so year, subjects and
+    # doc_type pass; the checks that remain run in _build_record's order
     if taken is None:
-        raw_authors = _decode_authors(authors_text)
+        raw_authors = decode_authors(authors_piece)
         if raw_authors is None:
             return False
     rec_id = _take_id(rec_id, ref, batch)
     if rec_id is None:
         return True
+    year, doc_type, subjects, warnings = fields
+    if year is None and year_first:
+        year = _take_year(None, rec_id, batch)
     if taken is None:
         taken = _take_authors(raw_authors[0], rec_id, batch)
         if taken is None:
             return True
-        batch.author_texts[authors_text] = taken
-    year, doc_type, subjects, warnings = fields
+        batch.author_texts[authors_piece] = taken
+    if year is None:
+        year = _take_year(None, rec_id, batch)
     authors, author_warnings = taken
     record = PublicationRecord(rec_id, year, doc_type, subjects, authors)
     _accept(batch, record, warnings + author_warnings)
@@ -543,7 +523,9 @@ def parse_jsonl(
     ):
         ref = f"line {lineno}"
         compact = _split_compact(line)
-        if compact is not None and _take_compact(batch, ref, *compact):
+        if compact is not None and _take_compact(
+            batch, ref, *compact, _decode_fields, _decode_authors
+        ):
             continue
         if not line.strip():
             continue
@@ -559,13 +541,20 @@ def parse_jsonl(
     return batch.finish(scheme, provenance)
 
 
-def _csv_year(raw: str) -> int | str | None:
-    if not raw:
-        return None
+def _decode_csv_fields(cells: tuple[str, str, str]) -> dict[str, Any]:
+    """The object of a CSV row's stripped year, doc_type and subjects cells."""
+    year, doc_type, subjects = cells
     try:
-        return int(raw)
+        year = int(year) if year else None
     except ValueError:
-        return raw  # rejected by _build_record, quoted as written
+        pass  # rejected by _build_record, quoted as written
+    return {"year": year, "doc_type": doc_type, "subjects": subjects.split(";")}
+
+
+def _decode_csv_authors(cell: str) -> tuple[list[dict[str, list[str]]]]:
+    """``(author list,)`` of a CSV row's stripped author_countries cell."""
+    tokens = cell.split("|") if cell else ()
+    return ([{"countries": [c for c in token.split("+") if c.strip()]} for token in tokens],)
 
 
 def parse_csv(
@@ -587,21 +576,10 @@ def parse_csv(
         if len(row) != len(CSV_HEADER):
             batch.reject(ref, f"expected {len(CSV_HEADER)} columns, got {len(row)}")
             continue
-        rec_id, raw_year, raw_doc, raw_subjects, raw_authors = (c.strip() for c in row)
-        tokens = {
-            "id": rec_id,
-            "year": _csv_year(raw_year),
-            "doc_type": raw_doc,
-            "subjects": raw_subjects,
-            "authors": raw_authors,
-        }
-        _build_record(
-            batch,
-            ref,
-            tokens,
-            year_first=True,
-            take_authors=_take_author_cell,
-            take_subjects=_take_subject_cell,
+        rec_id, year, doc_type, subjects, authors = (c.strip() for c in row)
+        fields = (year, doc_type, subjects)
+        _take_compact(
+            batch, ref, rec_id, fields, authors, _decode_csv_fields, _decode_csv_authors, True
         )
     return batch.finish(scheme, provenance)
 
