@@ -1,11 +1,11 @@
 """Mutation check: break one invariant at a time and see a tier-1 test fail.
 
-Run from anywhere with ``python mutation/run.py``; ``--only NAME`` (repeatable)
-runs a subset by name. Each mutant below replaces exact texts (anchors) in
-one file under ``src/``; every anchor must occur exactly once there, which
-``mutation/tests`` checks. For each mutant the script copies ``src/`` and
-``tests/`` with ``pyproject.toml`` to a temporary directory, applies the
-edits to the copy, and runs the mutant's tier-1 test files there with pytest.
+Run from anywhere with ``python mutation/run.py``. Each mutant below
+replaces exact texts (anchors) in one file under ``src/``; every anchor
+must occur exactly once there, which ``mutation/tests`` checks. For each
+mutant the script copies ``src/`` and ``tests/`` with ``pyproject.toml`` to
+a temporary directory, applies the edits to the copy, and runs the
+mutant's tier-1 test files there with pytest.
 
 A mutant is killed only when pytest exits 1: tests ran and some failed.
 Any other exit (3 for an internal error, 2 for an interruption, 4 or 5 for
@@ -18,7 +18,6 @@ and exits 1 when a mutant that is not equivalent was not killed.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import shutil
@@ -213,22 +212,15 @@ def run_mutant(mutant: Mutant) -> dict:
     return result
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--only", action="append", metavar="NAME", help="run only the mutant of this name")
-    args = parser.parse_args(argv)
-    chosen = [m for m in MUTANTS if not args.only or m.name in args.only]
-    unknown = set(args.only or ()) - {m.name for m in MUTANTS}
-    if unknown:
-        parser.error(f"no mutant named {sorted(unknown)}")
+def main() -> int:
     results = []
-    for mutant in chosen:
+    for mutant in MUTANTS:
         result = run_mutant(mutant)
         print(f"{result['status']:8s} {result['seconds']:6.1f}s  {mutant.name}  ({result['pytest']})", flush=True)
         results.append(result)
     missed = [r for r in results if r["status"] != "killed" and "equivalent" not in r]
     report = {
-        "command": "python mutation/run.py" + "".join(f" --only {n!r}" for n in args.only or ()),
+        "command": "python mutation/run.py",
         "python": sys.version.split()[0],
         "killed": sum(r["status"] == "killed" for r in results),
         "mutants": len(results),
