@@ -550,6 +550,73 @@ class TestReferenceParserEquivalence:
         ]
         assert_same_parse((corpus, report), oracle_parse_csv(text))
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_jsonl_missing_year_warns_only_for_a_repeated_lines_accepted_record(self, newline):
+        # b repeats a's fields text; JSONL checks the authors before the
+        # year, so b reports its authors error and no year warning
+        fields = ',"doc_type":"letter","subjects":["PHYS"],"authors":'
+        text = newline.join(
+            [
+                '{"id":"a"' + fields + '[{"countries":["US"]}]}',
+                '{"id":"b"' + fields + "[]}",
+                '{"id":"c"' + fields + '[{"countries":["US"]}]}',
+            ]
+        )
+        corpus, report = parse_jsonl(text)
+        assert [r.id for r in corpus.records] == ["a", "c"]
+        assert report.errors == [("b", "missing or empty authors")]
+        assert report.warnings == [
+            ("a", "missing year; defaulting to 0"),
+            ("a", "unknown doc_type 'letter'; treated as 'other'"),
+            ("c", "missing year; defaulting to 0"),
+            ("c", "unknown doc_type 'letter'; treated as 'other'"),
+        ]
+        assert_same_parse((corpus, report), oracle_parse_jsonl(text))
+
+    @pytest.mark.parametrize("authors_ok", [True, False], ids=["authors-ok", "authors-rejected"])
+    @pytest.mark.parametrize("year", [None, "bad"], ids=["year-missing", "year-not-int"])
+    @pytest.mark.parametrize("known", [False, True], ids=["new-fields", "known-fields"])
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_year_and_authors_check_order(self, fmt, known, year, authors_ok):
+        # b is the case; with known fields, a holds the same fields piece
+        # and good authors first, so b's fields are a memo hit when a is
+        # accepted (year missing) and a miss when a is rejected (bad year)
+        def line(rec_id, good_authors):
+            if fmt == "csv":
+                year_cell = "" if year is None else "20x6"
+                return f"{rec_id},{year_cell},letter,PHYS,{'US' if good_authors else ''}"
+            year_member = "" if year is None else ',"year":"2016"'
+            authors = '[{"countries":["US"]}]' if good_authors else "[]"
+            fields = ',"doc_type":"letter","subjects":["PHYS"],"authors":'
+            return '{"id":"' + rec_id + '"' + year_member + fields + authors + "}"
+
+        lines = ([line("a", True)] if known else []) + [line("b", authors_ok)]
+        if fmt == "csv":
+            text = "\n".join(["id,year,doc_type,subjects,author_countries", *lines])
+            parse, oracle = parse_csv, oracle_parse_csv
+        else:
+            text = "\n".join(lines)
+            parse, oracle = parse_jsonl, oracle_parse_jsonl
+        year_warning = "missing year; defaulting to 0"
+        type_warning = "unknown doc_type 'letter'; treated as 'other'"
+        year_error = "year '20x6' is not an integer" if fmt == "csv" else "year '2016' is not an integer"
+        authors_error = "missing or empty authors"
+        errors, warnings = [], []
+        for rec_id, good_authors in ([("a", True)] if known else []) + [("b", authors_ok)]:
+            if year is None and good_authors:
+                warnings += [(rec_id, year_warning), (rec_id, type_warning)]
+            elif year is None:  # CSV checks the year first and warns for it
+                warnings += [(rec_id, year_warning)] if fmt == "csv" else []
+                errors.append((rec_id, authors_error))
+            elif good_authors or fmt == "csv":
+                errors.append((rec_id, year_error))
+            else:  # JSONL checks the authors first
+                errors.append((rec_id, authors_error))
+        corpus, report = parse(text)
+        assert report.errors == errors
+        assert report.warnings == warnings
+        assert_same_parse((corpus, report), oracle(text))
+
     def test_header_errors_match(self):
         for text in ["", "id,year\np1,2016", "\n"]:
             with pytest.raises(SchemaError) as ours:
