@@ -26,15 +26,16 @@ trailing ``\\r`` dropped, so U+2028, U+0085 and the other characters that
 keep their endings, so quoted fields may hold newlines. The command line
 reads a file or stdin as a stream whose lines also end at a bare ``\\r``.
 
-Both formats are read by one piece reader. A record is an id, a fields
-piece and an authors piece. Each piece is looked up first among the pieces
-of records already accepted in this parse; a known piece is neither
-decoded nor checked again, so a record that repeats an earlier record's
-fields and authors costs its id checks only. Unknown pieces are decoded
-into the JSONL object shape by their format's decoders, and one record
-builder checks that object. CSV checks a record's year before its authors
-and JSONL after them, so a CSV row with a missing year still warns for it
-when its authors are then rejected, a known fields piece included.
+Both formats are read by one piece reader, and one record checker,
+``_take_record``, accepts or rejects every record. A record is an id, a
+fields piece and an authors piece. Each piece is looked up first among the
+pieces of records already accepted in this parse; a known piece is not
+decoded again, and a known authors piece is not checked again. Unknown
+pieces are decoded into the JSONL object shape by their format's decoders.
+The checker checks the id, then the year and the authors, then the
+subjects, in that order whether the pieces are known or new. CSV checks
+the year before the authors and JSONL after them, so only a CSV row warns
+for a missing year when its authors are then rejected.
 
 A CSV row's pieces are its stripped ``(year, doc_type, subjects)`` cells
 and its stripped ``author_countries`` cell. A JSONL line in the compact
@@ -138,9 +139,9 @@ def _csv_rows(
 
 
 _Authors = tuple[tuple[AuthorRef, ...], tuple[str, ...]]
-# an accepted record's year, None when missing, which warns again for each
-# record that holds it; its doc type, subject set and the doc type's warnings
-_Fields = tuple[int | None, DocType, frozenset[str], tuple[str, ...]]
+# a record's raw year, its doc type, its interned subject set (None when the
+# subjects are not a list of strings) and the doc type's warnings
+_Fields = tuple[Any, DocType, frozenset[str] | None, tuple[str, ...]]
 
 
 class _Slot(object):
@@ -211,14 +212,13 @@ def _take_doc_type(raw: Any) -> tuple[DocType, tuple[str, ...]]:
 
 
 def _take_year(raw: Any, ref: str, batch: _Batch) -> int | None:
-    """The year, 0 with a warning when missing; None when the row is rejected."""
+    """The year of a raw year that is not an int: 0 with a warning when
+    missing; None, with the row rejected, otherwise."""
     if raw is None:
         batch.report.warnings.append((ref, "missing year; defaulting to 0"))
         return 0
-    if isinstance(raw, bool) or not isinstance(raw, int):
-        batch.reject(ref, f"year {raw!r} is not an integer")
-        return None
-    return raw
+    batch.reject(ref, f"year {raw!r} is not an integer")
+    return None
 
 
 def _interned(
@@ -286,45 +286,52 @@ def _subject_set(raw: Iterable[str]) -> frozenset[str]:
     return frozenset(s.strip() for s in raw if s.strip())
 
 
-def _take_subjects(raw: Any, batch: _Batch) -> frozenset[str] | None:
-    """Interned subject set; None when the row is rejected."""
-    if not isinstance(raw, list):
-        return None
-    return _interned(batch.subjects, raw, _subject_set)
+def _row_fields(obj: dict[str, Any], batch: _Batch) -> _Fields:
+    """The :data:`_Fields` of a record object; nothing here rejects it."""
+    raw = obj.get("subjects", [])
+    subjects = _interned(batch.subjects, raw, _subject_set) if isinstance(raw, list) else None
+    doc_type, warnings = _take_doc_type(obj.get("doc_type"))
+    return obj.get("year"), doc_type, subjects, warnings
 
 
-def _build_record(
-    batch: _Batch, ref: str, row: dict[str, Any], year_first: bool = False
-) -> tuple[_Fields, _Authors] | None:
-    """Check one row of the JSONL object shape; append its record to
-    ``batch`` or reject it.
+def _take_record(
+    batch: _Batch,
+    ref: str,
+    raw_id: Any,
+    fields: _Fields,
+    taken: _Authors | None,
+    raw_authors: Any,
+    year_first: bool = False,
+) -> _Authors | None:
+    """Check one record and append it to ``batch``, or reject it.
 
-    CSV checks the year before the authors and JSONL after them
-    (``year_first``); the order decides which error a row with several
-    problems reports. Returns the record's fields and its authors, each
-    with their warnings, when it is accepted.
+    The checks run in the order the module docstring gives; ``year_first``
+    selects CSV's. ``taken`` is the authors of a known authors piece; when
+    it is None, ``raw_authors`` is checked. Returns the record's authors
+    when it is accepted.
     """
-    rec_id = ref = _take_id(row.get("id"), ref, batch)
+    rec_id = _take_id(raw_id, ref, batch)
     if rec_id is None:
         return None
-
-    raw_year = row.get("year")
-    if year_first and (year := _take_year(raw_year, ref, batch)) is None:
+    year, doc_type, subjects, warnings = fields
+    # an int year passes; any other warns or rejects where its format checks it
+    if year_first and year.__class__ is not int:
+        if (year := _take_year(year, rec_id, batch)) is None:
+            return None
+    if taken is None and (taken := _take_authors(raw_authors, rec_id, batch)) is None:
         return None
-    taken = _take_authors(row.get("authors"), ref, batch)
-    if taken is None:
+    if year.__class__ is not int and (year := _take_year(year, rec_id, batch)) is None:
         return None
-    if not year_first and (year := _take_year(raw_year, ref, batch)) is None:
-        return None
-    subjects = _take_subjects(row.get("subjects", []), batch)
     if subjects is None:
-        batch.reject(ref, "subjects must be a list of strings")
+        batch.reject(rec_id, "subjects must be a list of strings")
         return None
-
-    doc_type, warnings = _take_doc_type(row.get("doc_type"))
-    record = PublicationRecord(rec_id, year, doc_type, subjects, taken[0])
-    _accept(batch, record, warnings + taken[1])
-    return (None if raw_year is None else year, doc_type, subjects, warnings), taken
+    report = batch.report
+    for message in warnings + taken[1]:
+        report.warnings.append((rec_id, message))
+    batch.records.append(PublicationRecord(rec_id, year, doc_type, subjects, taken[0]))
+    batch.seen_ids.add(rec_id)
+    report.records_accepted += 1
+    return taken
 
 
 def _take_id(raw: Any, ref: str, batch: _Batch) -> str | None:
@@ -337,15 +344,6 @@ def _take_id(raw: Any, ref: str, batch: _Batch) -> str | None:
         batch.reject(rec_id, "duplicate record id; first occurrence kept")
         return None
     return rec_id
-
-
-def _accept(batch: _Batch, record: PublicationRecord, warnings: Iterable[str]) -> None:
-    report = batch.report
-    for message in warnings:
-        report.warnings.append((record.id, message))
-    batch.records.append(record)
-    batch.seen_ids.add(record.id)
-    report.records_accepted += 1
 
 
 _scan = json.JSONDecoder().scan_once
@@ -433,57 +431,34 @@ def _take_compact(
     """Check a record from its id, fields piece and authors piece; False
     when the pieces do not decode.
 
-    A piece that an accepted record of this parse already held is neither
-    decoded nor checked again. ``decode_fields`` gives the object of the
-    record's fields and ``decode_authors`` ``(author list,)``, so that the
-    record is checked as :func:`_build_record` checks that object. For a
-    compact JSONL line, pieces that decode make the line valid JSON with
-    the same object ``json.loads`` gives, duplicate keys included; the
-    caller decodes a line whose pieces do not, so every error is the one
-    ``json.loads`` raises.
+    A piece that an accepted record of this parse already held is not
+    decoded again. ``decode_fields`` gives the object of the record's
+    fields and ``decode_authors`` ``(author list,)``. For a compact JSONL
+    line, pieces that decode make the line valid JSON with the same object
+    ``json.loads`` gives, duplicate keys included; the caller decodes a line
+    whose pieces do not, so every error is the one ``json.loads`` raises.
     """
     fields = batch.fields.get(fields_piece)
     taken = batch.author_texts.get(authors_piece)
+    obj = raw_authors = None
+    if taken is None:
+        if (raw_authors := decode_authors(authors_piece)) is None:
+            return False
+        raw_authors = raw_authors[0]
     if fields is None:
-        obj = decode_fields(fields_piece)
-        raw_authors = decode_authors(authors_piece)
-        if obj is None or raw_authors is None:
+        if (obj := decode_fields(fields_piece)) is None:
             return False
-        # the record's object: an "id" among the fields replaces the line's
-        # own, as in json.loads, so those fields alone do not make the record
-        own_id = "id" not in obj
-        if own_id:
-            obj["id"] = rec_id
-        obj["authors"] = raw_authors[0]
-        built = _build_record(batch, ref, obj, year_first)
-        if built is None:
-            return True
-        fields, batch.author_texts[authors_piece] = built
-        if own_id:
-            batch.fields[fields_piece] = fields
+        # an "id" among the fields replaces the line's own, as in json.loads
+        rec_id = obj.get("id", rec_id)
+        fields = _row_fields(obj, batch)
+    accepted = _take_record(batch, ref, rec_id, fields, taken, raw_authors, year_first)
+    if accepted is None:
         return True
-    # the fields come from an accepted record, so year, subjects and
-    # doc_type pass; the checks that remain run in _build_record's order
     if taken is None:
-        raw_authors = decode_authors(authors_piece)
-        if raw_authors is None:
-            return False
-    rec_id = _take_id(rec_id, ref, batch)
-    if rec_id is None:
-        return True
-    year, doc_type, subjects, warnings = fields
-    if year is None and year_first:
-        year = _take_year(None, rec_id, batch)
-    if taken is None:
-        taken = _take_authors(raw_authors[0], rec_id, batch)
-        if taken is None:
-            return True
-        batch.author_texts[authors_piece] = taken
-    if year is None:
-        year = _take_year(None, rec_id, batch)
-    authors, author_warnings = taken
-    record = PublicationRecord(rec_id, year, doc_type, subjects, authors)
-    _accept(batch, record, warnings + author_warnings)
+        batch.author_texts[authors_piece] = accepted
+    # fields that hold an "id" do not make the record alone, so are not kept
+    if obj is not None and "id" not in obj:
+        batch.fields[fields_piece] = fields
     return True
 
 
@@ -537,7 +512,7 @@ def parse_jsonl(
         if not isinstance(obj, dict):
             batch.reject(ref, "record is not a JSON object")
             continue
-        _build_record(batch, ref, obj)
+        _take_record(batch, ref, obj.get("id"), _row_fields(obj, batch), None, obj.get("authors"))
     return batch.finish(scheme, provenance)
 
 
@@ -547,7 +522,7 @@ def _decode_csv_fields(cells: tuple[str, str, str]) -> dict[str, Any]:
     try:
         year = int(year) if year else None
     except ValueError:
-        pass  # rejected by _build_record, quoted as written
+        pass  # rejected by _take_record, quoted as written
     return {"year": year, "doc_type": doc_type, "subjects": subjects.split(";")}
 
 
