@@ -37,15 +37,8 @@ from typing import Any, Iterable, Sequence
 
 from . import replication
 from .collaboration import ReductionBasis, country_metrics
-from .counting import (
-    CountMethod,
-    FractionalMode,
-    ScoreTable,
-    fractional_count,
-    slice_corpus,
-    subject_group_count,
-    whole_count,
-)
+from .counting import CountMethod, FractionalMode, ScoreTable, subject_group_count
+from .counting import fractional_count, slice_corpus, whole_count  # noqa: F401 - perfbench wraps them here
 from .errors import SchemaError, UndefinedInputError, UnknownGroupError
 from .ingest import (
     _WIRE_DOC_TYPES,
@@ -146,13 +139,13 @@ def _parse_years(arg: str | None) -> set[int] | None:
 
 
 def _parse_doc_types(arg: str) -> set[DocType] | None:
-    if arg == "all":
+    names = _names(arg, "--doc-types", "doc type")
+    if names == ["all"]:
         return None
-    if arg == "default":
+    if names == ["default"]:
         return set(DEFAULT_DOC_TYPES)
     out = set()
-    for tok in arg.split(","):
-        tok = tok.strip()
+    for tok in names:
         if tok not in _WIRE_DOC_TYPES:
             raise UsageError(
                 f"unknown doc type {tok!r}; expected names from "
@@ -251,11 +244,7 @@ def _group_name(name: str) -> str:
 def _group_count(args: argparse.Namespace) -> ScoreTable:
     """Load and filter the input, restrict it to ``--group``, then count."""
     group = _group_name(args.group) if args.group else ALL_FIELDS
-    corpus = slice_corpus(_filtered_corpus(args, [group]), group)
-    # the public count functions, which perfbench/worker.py wraps by name
-    if args.method == "whole":
-        return whole_count(corpus)
-    return fractional_count(corpus, FractionalMode(args.mode))
+    return subject_group_count(_filtered_corpus(args, [group]), _method(args), [group])[group]
 
 
 def _slice_tables(args: argparse.Namespace) -> dict[str, ScoreTable]:

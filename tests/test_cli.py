@@ -312,6 +312,22 @@ class TestCount:
         _, all_out, _ = invoke(capsys, "count", "--input", str(path), "--doc-types", "all")
         assert "GB,1" in all_out
 
+    # --doc-types reads its items as --years and --slices do: stripped, blank ones dropped
+    def test_doc_types_all_with_spaces_is_all(self, capsys, corpus_file):
+        assert invoke(capsys, "count", "--input", corpus_file, "--doc-types", " all") == invoke(
+            capsys, "count", "--input", corpus_file, "--doc-types", "all"
+        )
+
+    def test_doc_types_trailing_comma_is_dropped(self, capsys, corpus_file):
+        assert invoke(capsys, "count", "--input", corpus_file, "--doc-types", "article,") == invoke(
+            capsys, "count", "--input", corpus_file, "--doc-types", "article"
+        )
+
+    def test_doc_types_blank_names_no_doc_type(self, capsys, corpus_file):
+        code, out, err = invoke(capsys, "count", "--input", corpus_file, "--doc-types", "")
+        assert (code, out) == (1, "")
+        assert err == "error: --doc-types must name at least one doc type\n"
+
     def test_csv_input_sniffed(self, capsys, tmp_path, mixed_corpus):
         path = tmp_path / "corpus.csv"
         path.write_text(to_csv(mixed_corpus), encoding="utf-8")
