@@ -43,6 +43,7 @@ class Mutant(object):
 
 INGEST = "bibrank/ingest.py"
 IO_TESTS = ("tests/test_io.py",)
+COUNTING_TESTS = ("tests/test_counting.py",)
 
 MUTANTS = (
     Mutant(
@@ -50,35 +51,58 @@ MUTANTS = (
         INGEST,
         (
             (
-                "        if built is None:\n            return True\n",
-                "        if built is None:\n"
-                "            if own_id:\n"
-                '                doc_type, warnings = _take_doc_type(obj.get("doc_type"))\n'
-                '                subjects = _subject_set(obj.get("subjects", []))\n'
-                '                batch.fields[fields_piece] = (obj.get("year"), doc_type, subjects, warnings)\n'
-                "            return True\n",
+                "    if accepted is None:\n        return True\n",
+                "    if accepted is None:\n"
+                '        if obj is not None and "id" not in obj:\n'
+                "            batch.fields[fields_piece] = fields\n"
+                "        return True\n",
+            ),
+        ),
+        IO_TESTS,
+        equivalent="a fields piece's _Fields hold its raw year and its subject set or None, "
+        "which _take_record checks again on every hit, so a rejected row's fields "
+        "give a later record the outcome their decode would",
+    ),
+    Mutant(
+        "ingest: memoize a missing year as 0",
+        INGEST,
+        (
+            (
+                "        batch.fields[fields_piece] = fields\n",
+                "        batch.fields[fields_piece] = (fields[0] or 0, *fields[1:])\n",
             ),
         ),
         IO_TESTS,
     ),
     Mutant(
-        "ingest: skip _take_id on a fields hit",
+        "ingest: skip _take_id on an authors hit",
         INGEST,
         (
             (
-                "    rec_id = _take_id(rec_id, ref, batch)\n    if rec_id is None:\n        return True\n",
-                "",
+                "    rec_id = _take_id(raw_id, ref, batch)\n",
+                "    rec_id = raw_id if taken is not None else _take_id(raw_id, ref, batch)\n",
             ),
         ),
         IO_TESTS,
     ),
     Mutant(
-        "ingest: drop the CSV early year warning on a fields hit",
+        "ingest: CSV checks a missing year after the authors",
         INGEST,
         (
             (
-                "    if year is None and year_first:\n        year = _take_year(None, rec_id, batch)\n",
-                "",
+                "    if year_first and year.__class__ is not int:\n",
+                "    if year_first and year is not None and year.__class__ is not int:\n",
+            ),
+        ),
+        IO_TESTS,
+    ),
+    Mutant(
+        "ingest: accept a bool year",
+        INGEST,
+        (
+            (
+                "    if year.__class__ is not int and (year := _take_year(year, rec_id, batch)) is None:\n",
+                "    if not isinstance(year, int) and (year := _take_year(year, rec_id, batch)) is None:\n",
             ),
         ),
         IO_TESTS,
@@ -86,12 +110,7 @@ MUTANTS = (
     Mutant(
         'ingest: memoize fields that hold "id"',
         INGEST,
-        (
-            (
-                "        if own_id:\n            batch.fields[fields_piece] = fields\n",
-                "        batch.fields[fields_piece] = fields\n",
-            ),
-        ),
+        (('    if obj is not None and "id" not in obj:\n', "    if obj is not None:\n"),),
         IO_TESTS,
     ),
     Mutant(
@@ -136,8 +155,8 @@ MUTANTS = (
                 "    fields = batch.fields.get(fields_piece[:2] if year_first else fields_piece)\n",
             ),
             (
-                "            batch.fields[fields_piece] = fields\n",
-                "            batch.fields[fields_piece[:2] if year_first else fields_piece] = fields\n",
+                "        batch.fields[fields_piece] = fields\n",
+                "        batch.fields[fields_piece[:2] if year_first else fields_piece] = fields\n",
             ),
         ),
         IO_TESTS,
@@ -153,6 +172,60 @@ MUTANTS = (
         INGEST,
         (("    if rec_id in batch.seen_ids:\n", "    if False:\n"),),
         IO_TESTS,
+    ),
+    Mutant(
+        "ingest: drop to_csv's bare-\\r quoting",
+        INGEST,
+        (('        if "\\r" in record.id or "\\r" in subjects or "\\r" in authors:\n', "        if False:\n"),),
+        IO_TESTS,
+    ),
+    Mutant(
+        "counting: drop the lcm scale",
+        "bibrank/counting.py",
+        (("    scale = lcm(*filter(None, map(len, distinct)))\n", "    scale = 1\n"),),
+        COUNTING_TESTS,
+    ),
+    Mutant(
+        "counting: drop ZZ's whole credit",
+        "bibrank/counting.py",
+        (("    if unresolved:\n        whole[UNRESOLVED] = 1.0\n", ""),),
+        COUNTING_TESTS,
+    ),
+    Mutant(
+        "counting: drop the id sort in _sweep",
+        "bibrank/counting.py",
+        (('    for record in sorted(corpus.records, key=attrgetter("id")):\n', "    for record in corpus.records:\n"),),
+        COUNTING_TESTS,
+    ),
+    Mutant(
+        "counting: one country makes a record international",
+        "bibrank/counting.py",
+        (("    return len(countries) >= 2\n", "    return len(countries) >= 1\n"),),
+        COUNTING_TESTS + ("tests/test_collaboration.py",),
+    ),
+    Mutant(
+        "collaboration: icp_pct refuses icp equal to wc",
+        "bibrank/collaboration.py",
+        (("    if icp < 0 or icp > wc:\n", "    if icp < 0 or icp >= wc:\n"),),
+        ("tests/test_collaboration.py",),
+    ),
+    Mutant(
+        "rankstats: dense ranks for competition ranks",
+        "bibrank/rankstats.py",
+        (("            comp_rank = i + 1\n", "            comp_rank += 1\n"),),
+        ("tests/test_rankstats.py",),
+    ),
+    Mutant(
+        "tables: round half to even",
+        "bibrank/tables.py",
+        (("rounding=ROUND_HALF_UP)", 'rounding="ROUND_HALF_EVEN")'),),
+        ("tests/test_io.py",),
+    ),
+    Mutant(
+        "replication: the standard denominator in published_srcc_variant",
+        "bibrank/replication.py",
+        (("(n * n * (n - 1))", "(n * (n * n - 1))"),),
+        ("tests/test_replication.py",),
     ),
 )
 
