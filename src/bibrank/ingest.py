@@ -212,8 +212,8 @@ def _take_doc_type(raw: Any) -> tuple[DocType, tuple[str, ...]]:
 
 
 def _take_year(raw: Any, ref: str, batch: _Batch) -> int | None:
-    """The year of a raw year that is not an int: 0 with a warning when
-    missing; None, with the row rejected, otherwise."""
+    """A raw year that is not an int: 0 with a warning when missing, else
+    None with the row rejected."""
     if raw is None:
         batch.report.warnings.append((ref, "missing year; defaulting to 0"))
         return 0
@@ -428,8 +428,8 @@ def _take_compact(
     decode_authors: Callable[[str], tuple[Any] | None],
     year_first: bool = False,
 ) -> bool:
-    """Check a record from its id, fields piece and authors piece; False
-    when the pieces do not decode.
+    """Read a record from its id, fields piece and authors piece and check
+    it with :func:`_take_record`; False when the pieces do not decode.
 
     A piece that an accepted record of this parse already held is not
     decoded again. ``decode_fields`` gives the object of the record's
@@ -442,9 +442,9 @@ def _take_compact(
     taken = batch.author_texts.get(authors_piece)
     obj = raw_authors = None
     if taken is None:
-        if (raw_authors := decode_authors(authors_piece)) is None:
+        if (decoded := decode_authors(authors_piece)) is None:
             return False
-        raw_authors = raw_authors[0]
+        raw_authors = decoded[0]
     if fields is None:
         if (obj := decode_fields(fields_piece)) is None:
             return False
