@@ -5,7 +5,10 @@ replaces exact texts (anchors) in one file under ``src/``; every anchor
 must occur exactly once there, which ``mutation/tests`` checks. For each
 mutant the script copies ``src/`` and ``tests/`` with ``pyproject.toml`` to
 a temporary directory, applies the edits to the copy, and runs the
-mutant's tier-1 test files there with pytest.
+mutant's tier-1 test files there with pytest. A conftest in the copy's
+root turns off hypothesis's shrink and explain phases: a kill needs one
+failing example, not the smallest, and shrinking one took up to five
+minutes.
 
 A mutant is killed only when pytest exits 1: tests ran and some failed.
 Any other exit (3 for an internal error, 2 for an interruption, 4 or 5 for
@@ -30,6 +33,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TIMEOUT_S = 600
+CONFTEST = """from hypothesis import Phase, settings
+
+settings.register_profile("mutation", phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
+settings.load_profile("mutation")
+"""
 
 
 @dataclass(frozen=True)
@@ -255,6 +263,7 @@ def run_mutant(mutant: Mutant) -> dict:
         shutil.copytree(ROOT / "src", work / "src", ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copytree(ROOT / "tests", work / "tests", ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", work / "pyproject.toml")
+        (work / "conftest.py").write_text(CONFTEST, encoding="utf-8")
         target = work / "src" / mutant.file
         target.write_text(apply(mutant, target.read_text(encoding="utf-8")), encoding="utf-8")
         env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
