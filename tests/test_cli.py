@@ -363,6 +363,18 @@ class TestCount:
             os.fstat(sys.stdin.fileno())
             assert not sys.stdin.closed
 
+    def test_blank_stdin_is_sniffed_as_an_empty_jsonl_input(self, capsys, monkeypatch, tmp_path):
+        # stdin has no extension, and no line says which format it is
+        path = tmp_path / "blank"
+        path.write_bytes(b"\n  \r\n\t\n\r\n")
+        with open(path, encoding="utf-8") as fake_stdin:
+            monkeypatch.setattr("sys.stdin", fake_stdin)
+            assert invoke(capsys, "count", "--input", "-") == (
+                0,
+                "country,whole\n",
+                "0 records counted\n",
+            )
+
     @pytest.mark.parametrize("years", ["", ",", " , "])
     def test_empty_years_is_usage_error(self, capsys, corpus_file, years):
         code, out, err = invoke(capsys, "count", "--input", corpus_file, "--years", years)

@@ -626,6 +626,89 @@ class TestReferenceParserEquivalence:
             assert str(ours.value) == str(reference.value)
 
 
+# JSONL lines rejected before their id is known, so named by line number
+POSITION_JSONL = [
+    ('{"year":2016,"authors":[{"countries":["US"]}]}', "missing or empty id"),
+    ('{"id":7,"year":2016,"authors":[{"countries":["US"]}]}', "missing or empty id"),
+    # compact lines: the id is read from the raw text, then found empty
+    ('{"id":"","year":2016,"authors":[{"countries":["US"]}]}', "missing or empty id"),
+    ('{"id":"  ","year":2016,"authors":[{"countries":["US"]}]}', "missing or empty id"),
+    ("{nope", "malformed JSON: Expecting property name enclosed in double quotes"),
+    ('["a",2016]', "record is not a JSON object"),
+    ('"a"', "record is not a JSON object"),
+    # compact lines whose author list does not decode
+    ('{"id":"x1","year":2016,"authors":[{"countries":["US"]},]}', "malformed JSON: Expecting value"),
+    ('{"id":"x2","year":2016,"authors":}', "malformed JSON: Expecting value"),
+]
+
+
+class TestRejectsNamedByPosition:
+    """A record rejected before its id is known is named by its line or
+    row number; one rejected after it, by its id."""
+
+    @staticmethod
+    def _ok(n: int) -> str:
+        return '{"id":"ok' + str(n) + '","year":2016,"authors":[{"countries":["US"]}]}'
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("as_file", [False, True], ids=["text", "lines"])
+    def test_jsonl(self, newline, as_file):
+        # each case follows two blank lines and precedes an accepted record,
+        # whose id the last line repeats
+        lines, errors = [], []
+        for n, (line, message) in enumerate(POSITION_JSONL):
+            lines += ["", " \t", line, self._ok(n)]
+            errors.append((f"line {len(lines) - 1}", message))
+        lines.append(self._ok(0))
+        errors.append(("ok0", "duplicate record id; first occurrence kept"))
+        source = [line + newline for line in lines] if as_file else newline.join(lines)
+        corpus, report = parse_jsonl(source)
+        assert report.errors == errors
+        assert [r.id for r in corpus.records] == [f"ok{n}" for n in range(len(POSITION_JSONL))]
+        assert_same_parse((corpus, report), oracle_parse_jsonl(source))
+
+    @pytest.mark.parametrize("line, message", POSITION_JSONL)
+    def test_jsonl_line_alone(self, line, message):
+        text = "\n\n" + line
+        _, report = parse_jsonl(text)
+        assert report.errors == [("line 3", message)]
+        assert_same_parse(parse_jsonl(text), oracle_parse_jsonl(text))
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("as_file", [False, True], ids=["text", "lines"])
+    def test_csv_rows_are_counted_not_lines(self, newline, as_file):
+        # each quoted subjects cell holds a newline, so every row after it
+        # starts one line later than its number
+        lines = [
+            "id,year,doc_type,subjects,author_countries",
+            'q1,2016,article,"PHYS',
+            'CHEM",US',
+            "p5,2016,article",
+            "",
+            'q2,2016,article,"PHYS',
+            'MED",US',
+            ",2016,article,PHYS,US",
+            'q3,2016,article,"PHYS',
+            'BIO",US',
+            '"  ",2016,article,PHYS,US',
+            "q1,2016,article,PHYS,US",
+        ]
+        source = [line + newline for line in lines] if as_file else newline.join(lines)
+        corpus, report = parse_csv(source)
+        assert report.errors == [
+            ("row 3", "expected 5 columns, got 3"),
+            ("row 6", "missing or empty id"),
+            ("row 8", "missing or empty id"),
+            ("q1", "duplicate record id; first occurrence kept"),
+        ]
+        assert [r.id for r in corpus.records] == ["q1", "q2", "q3"]
+        # the reference parser reads lines without their endings, so it drops
+        # the newline inside a quoted cell; its report and ids still agree
+        ref_corpus, ref_report = oracle_parse_csv(source)
+        assert [r.id for r in ref_corpus.records] == ["q1", "q2", "q3"]
+        assert report == ref_report
+
+
 class TestInterning:
     TEXT = "\n".join(
         [
