@@ -87,8 +87,8 @@ MUTANTS = (
         INGEST,
         (
             (
-                "    rec_id = _take_id(raw_id, ref, batch)\n",
-                "    rec_id = raw_id if taken is not None else _take_id(raw_id, ref, batch)\n",
+                "    rec_id = _take_id(raw_id, batch)\n",
+                "    rec_id = raw_id if taken is not None else _take_id(raw_id, batch)\n",
             ),
         ),
         IO_TESTS,
@@ -178,7 +178,7 @@ MUTANTS = (
     Mutant(
         "ingest: drop the duplicate-id reject",
         INGEST,
-        (("    if rec_id in batch.seen_ids:\n", "    if False:\n"),),
+        (("    if rec_id in batch.records:\n", "    if False:\n"),),
         IO_TESTS,
     ),
     Mutant(

@@ -100,9 +100,9 @@ class ValidationReport(object):
     """Outcome of parsing a record stream.
 
     ``errors`` and ``warnings`` are ``(record_ref, message)`` pairs where
-    ``record_ref`` is the record id when available and a ``line N`` / ``row N``
-    marker otherwise. Accepted plus rejected always equals the number of
-    non-blank input records.
+    ``record_ref`` is the record id, or ``line N`` / ``row N`` for a record
+    rejected before its id is known. Accepted plus rejected always equals
+    the number of non-blank input records.
     """
 
     errors: list[tuple[str, str]] = field(default_factory=list)
@@ -161,15 +161,20 @@ class _Slot(object):
 class _Batch(object):
     """State of one parse call: report, accepted records and interning memos.
 
+    ``records`` maps each accepted id to its record, in acceptance order.
+    A reject given no id names the ``unit`` and ``number`` of the line or
+    row that the parse loop is reading.
+
     Each parse creates its own batch and drops it on return, so no two
     parses share a memo. Interned values are immutable, so sharing one
     ``AuthorRef``, ``authors`` tuple or subject set between records is safe.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, unit: str) -> None:
         self.report = ValidationReport()
-        self.records: list[PublicationRecord] = []
-        self.seen_ids: set[str] = set()
+        self.unit = unit
+        self.number = 0
+        self.records: dict[str, PublicationRecord] = {}
         # raw author country tuple -> its slot
         self.authors: dict[tuple[str, ...], _Slot] = {}
         # normalized country set -> the one AuthorRef that carries it
@@ -187,14 +192,15 @@ class _Batch(object):
         # author_countries cell
         self.author_texts: dict[str, _Authors] = {}
 
-    def reject(self, ref: str, message: str) -> None:
+    def reject(self, rec_id: str | None, message: str) -> None:
+        ref = f"{self.unit} {self.number}" if rec_id is None else rec_id
         self.report.errors.append((ref, message))
         self.report.records_rejected += 1
 
     def finish(
         self, scheme: SubjectScheme | None, provenance: str
     ) -> tuple[Corpus, ValidationReport]:
-        return Corpus(tuple(self.records), scheme or EMPTY_SCHEME, provenance), self.report
+        return Corpus(tuple(self.records.values()), scheme or EMPTY_SCHEME, provenance), self.report
 
 
 def _take_doc_type(raw: Any) -> tuple[DocType, tuple[str, ...]]:
@@ -211,13 +217,13 @@ def _take_doc_type(raw: Any) -> tuple[DocType, tuple[str, ...]]:
     return dt, ()
 
 
-def _take_year(raw: Any, ref: str, batch: _Batch) -> int | None:
+def _take_year(raw: Any, rec_id: str, batch: _Batch) -> int | None:
     """A raw year that is not an int: 0 with a warning when missing, else
     None with the row rejected."""
     if raw is None:
-        batch.report.warnings.append((ref, "missing year; defaulting to 0"))
+        batch.report.warnings.append((rec_id, "missing year; defaulting to 0"))
         return 0
-    batch.reject(ref, f"year {raw!r} is not an integer")
+    batch.reject(rec_id, f"year {raw!r} is not an integer")
     return None
 
 
@@ -255,21 +261,21 @@ def _author(refs: dict[frozenset[str], AuthorRef], raw: tuple[str, ...]) -> _Slo
     return _Slot(author, tuple(warnings))
 
 
-def _take_authors(raw: Any, ref: str, batch: _Batch) -> _Authors | None:
+def _take_authors(raw: Any, rec_id: str, batch: _Batch) -> _Authors | None:
     """Shared authors tuple and its warnings; None when the row is rejected."""
     if not isinstance(raw, list) or not raw:
-        batch.reject(ref, "missing or empty authors")
+        batch.reject(rec_id, "missing or empty authors")
         return None
     build = batch.build_author
     slots = []
     for entry in raw:
         if not isinstance(entry, dict):
-            batch.reject(ref, "author entry is not an object")
+            batch.reject(rec_id, "author entry is not an object")
             return None
         countries = entry.get("countries", [])
         slot = _interned(batch.authors, countries, build) if isinstance(countries, list) else None
         if slot is None:
-            batch.reject(ref, "author countries must be a list of strings")
+            batch.reject(rec_id, "author countries must be a list of strings")
             return None
         slots.append(slot)
     key = tuple(slots)
@@ -296,7 +302,6 @@ def _row_fields(obj: dict[str, Any], batch: _Batch) -> _Fields:
 
 def _take_record(
     batch: _Batch,
-    ref: str,
     raw_id: Any,
     fields: _Fields,
     taken: _Authors | None,
@@ -310,7 +315,7 @@ def _take_record(
     it is None, ``raw_authors`` is checked. Returns the record's authors
     when it is accepted.
     """
-    rec_id = _take_id(raw_id, ref, batch)
+    rec_id = _take_id(raw_id, batch)
     if rec_id is None:
         return None
     year, doc_type, subjects, warnings = fields
@@ -328,19 +333,18 @@ def _take_record(
     report = batch.report
     for message in warnings + taken[1]:
         report.warnings.append((rec_id, message))
-    batch.records.append(PublicationRecord(rec_id, year, doc_type, subjects, taken[0]))
-    batch.seen_ids.add(rec_id)
+    batch.records[rec_id] = PublicationRecord(rec_id, year, doc_type, subjects, taken[0])
     report.records_accepted += 1
     return taken
 
 
-def _take_id(raw: Any, ref: str, batch: _Batch) -> str | None:
+def _take_id(raw: Any, batch: _Batch) -> str | None:
     """The stripped record id; None when the row is rejected for it."""
     if not isinstance(raw, str) or not raw.strip():
-        batch.reject(ref, "missing or empty id")
+        batch.reject(None, "missing or empty id")
         return None
     rec_id = raw.strip()
-    if rec_id in batch.seen_ids:
+    if rec_id in batch.records:
         batch.reject(rec_id, "duplicate record id; first occurrence kept")
         return None
     return rec_id
@@ -420,7 +424,6 @@ def _decode_authors(text: str) -> tuple[Any] | None:
 
 def _take_compact(
     batch: _Batch,
-    ref: str,
     rec_id: str,
     fields_piece: Any,
     authors_piece: str,
@@ -451,7 +454,7 @@ def _take_compact(
         # an "id" among the fields replaces the line's own, as in json.loads
         rec_id = obj.get("id", rec_id)
         fields = _row_fields(obj, batch)
-    accepted = _take_record(batch, ref, rec_id, fields, taken, raw_authors, year_first)
+    accepted = _take_record(batch, rec_id, fields, taken, raw_authors, year_first)
     if accepted is None:
         return True
     if taken is None:
@@ -492,27 +495,24 @@ def parse_jsonl(
     rejected; missing ``year``/``doc_type`` degrade with a warning. Blank
     lines are ignored.
     """
-    batch = _Batch()
-    for lineno, line in enumerate(
+    batch = _Batch("line")
+    for batch.number, line in enumerate(
         _split_lines(source) if isinstance(source, str) else source, start=1
     ):
-        ref = f"line {lineno}"
         compact = _split_compact(line)
-        if compact is not None and _take_compact(
-            batch, ref, *compact, _decode_fields, _decode_authors
-        ):
+        if compact is not None and _take_compact(batch, *compact, _decode_fields, _decode_authors):
             continue
         if not line.strip():
             continue
         try:
             obj = _decode(line)
         except json.JSONDecodeError as exc:
-            batch.reject(ref, f"malformed JSON: {exc.msg}")
+            batch.reject(None, f"malformed JSON: {exc.msg}")
             continue
         if not isinstance(obj, dict):
-            batch.reject(ref, "record is not a JSON object")
+            batch.reject(None, "record is not a JSON object")
             continue
-        _take_record(batch, ref, obj.get("id"), _row_fields(obj, batch), None, obj.get("authors"))
+        _take_record(batch, obj.get("id"), _row_fields(obj, batch), None, obj.get("authors"))
     return batch.finish(scheme, provenance)
 
 
@@ -545,17 +545,14 @@ def parse_csv(
     row that ``csv`` cannot read, raises :class:`SchemaError`; other row-level
     problems reject only that row.
     """
-    batch = _Batch()
-    for rownum, row in _csv_rows(source, CSV_HEADER):
-        ref = f"row {rownum}"
+    batch = _Batch("row")
+    for batch.number, row in _csv_rows(source, CSV_HEADER):
         if len(row) != len(CSV_HEADER):
-            batch.reject(ref, f"expected {len(CSV_HEADER)} columns, got {len(row)}")
+            batch.reject(None, f"expected {len(CSV_HEADER)} columns, got {len(row)}")
             continue
         rec_id, year, doc_type, subjects, authors = (c.strip() for c in row)
         fields = (year, doc_type, subjects)
-        _take_compact(
-            batch, ref, rec_id, fields, authors, _decode_csv_fields, _decode_csv_authors, True
-        )
+        _take_compact(batch, rec_id, fields, authors, _decode_csv_fields, _decode_csv_authors, True)
     return batch.finish(scheme, provenance)
 
 
