@@ -140,18 +140,19 @@ def _parse_years(arg: str | None) -> set[int] | None:
 
 def _parse_doc_types(arg: str) -> set[DocType] | None:
     names = _names(arg, "--doc-types", "doc type")
-    if names == ["all"]:
+    keys = [tok.lower() for tok in names]  # stripped and lowered, as ingest reads a doc type
+    if keys == ["all"]:
         return None
-    if names == ["default"]:
+    if keys == ["default"]:
         return set(DEFAULT_DOC_TYPES)
     out = set()
-    for tok in names:
-        if tok not in _WIRE_DOC_TYPES:
+    for tok, key in zip(names, keys):
+        if (doc_type := _WIRE_DOC_TYPES.get(key)) is None:
             raise UsageError(
                 f"unknown doc type {tok!r}; expected names from "
                 f"{sorted(_WIRE_DOC_TYPES)}, 'default' or 'all'"
             )
-        out.add(_WIRE_DOC_TYPES[tok])
+        out.add(doc_type)
     return out
 
 

@@ -323,6 +323,32 @@ class TestCount:
             capsys, "count", "--input", corpus_file, "--doc-types", "article"
         )
 
+    # and in any case, as ingest reads a record's doc type
+    @pytest.mark.parametrize(
+        "typed, canonical",
+        [("Article", "article"), ("ALL", "all"), ("Default", "default"), ("ARTICLE,Review", "article,review")],
+    )
+    def test_doc_types_in_any_case(self, capsys, tmp_path, typed, canonical):
+        corpus = Corpus(
+            (
+                rec("p1", ["US"]),
+                rec("p2", ["GB"], doc_type=DocType.REVIEW),
+                rec("p3", ["FR"], doc_type=DocType.CONFERENCE_PAPER),
+                rec("p4", ["IN"], doc_type=DocType.OTHER),
+            )
+        )
+        path = tmp_path / "c.jsonl"
+        path.write_text(to_jsonl(corpus), encoding="utf-8")
+        code, out, err = invoke(capsys, "count", "--input", str(path), "--doc-types", typed)
+        assert code == 0, err
+        assert (code, out, err) == invoke(capsys, "count", "--input", str(path), "--doc-types", canonical)
+
+    @pytest.mark.parametrize("typed", ["Letter", "All,article"])
+    def test_unknown_doc_type_is_quoted_as_typed(self, capsys, corpus_file, typed):
+        code, out, err = invoke(capsys, "count", "--input", corpus_file, "--doc-types", typed)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: unknown doc type {typed.split(',')[0]!r}; expected names from ")
+
     def test_doc_types_blank_names_no_doc_type(self, capsys, corpus_file):
         code, out, err = invoke(capsys, "count", "--input", corpus_file, "--doc-types", "")
         assert (code, out) == (1, "")
