@@ -182,6 +182,39 @@ MUTANTS = (
         IO_TESTS,
     ),
     Mutant(
+        "ingest: name a pre-id reject by the previous number",
+        INGEST,
+        (
+            (
+                '        ref = f"{self.unit} {self.number}" if rec_id is None else rec_id\n',
+                '        ref = f"{self.unit} {self.number - 1}" if rec_id is None else rec_id\n',
+            ),
+        ),
+        IO_TESTS,
+    ),
+    Mutant(
+        "ingest: name a duplicate-id reject by position",
+        INGEST,
+        (
+            (
+                '        batch.reject(rec_id, "duplicate record id; first occurrence kept")\n',
+                '        batch.reject(None, "duplicate record id; first occurrence kept")\n',
+            ),
+        ),
+        IO_TESTS,
+    ),
+    Mutant(
+        "ingest: apply_filter reads --years as a range",
+        INGEST,
+        (
+            (
+                "        if (year_set is None or r.year in year_set)\n",
+                "        if (year_set is None or min(year_set) <= r.year <= max(year_set))\n",
+            ),
+        ),
+        IO_TESTS,
+    ),
+    Mutant(
         "ingest: drop to_csv's bare-\\r quoting",
         INGEST,
         (('        if "\\r" in record.id or "\\r" in subjects or "\\r" in authors:\n', "        if False:\n"),),
@@ -212,10 +245,39 @@ MUTANTS = (
         COUNTING_TESTS + ("tests/test_collaboration.py",),
     ),
     Mutant(
+        "collaboration: drop the fc <= wc check in reduction_pct",
+        "bibrank/collaboration.py",
+        (("    if fc > wc:\n", "    if False:\n"),),
+        ("tests/test_collaboration.py",),
+    ),
+    Mutant(
+        "collaboration: swap the ReductionBasis denominators",
+        "bibrank/collaboration.py",
+        (
+            (
+                "        return 100.0 * (wc - fc) / fc\n    return 100.0 * (wc - fc) / wc\n",
+                "        return 100.0 * (wc - fc) / wc\n    return 100.0 * (wc - fc) / fc\n",
+            ),
+        ),
+        ("tests/test_collaboration.py",),
+    ),
+    Mutant(
         "collaboration: icp_pct refuses icp equal to wc",
         "bibrank/collaboration.py",
         (("    if icp < 0 or icp > wc:\n", "    if icp < 0 or icp >= wc:\n"),),
         ("tests/test_collaboration.py",),
+    ),
+    Mutant(
+        "model: drop Corpus's duplicate-id check",
+        "bibrank/model.py",
+        (("            if record.id in seen:\n", "            if False:\n"),),
+        ("tests/test_model.py",),
+    ),
+    Mutant(
+        "cli: open --input as utf-8, not utf-8-sig",
+        "bibrank/cli.py",
+        (('            encoding="utf-8-sig",\n', '            encoding="utf-8",\n'),),
+        ("tests/test_cli.py",),
     ),
     Mutant(
         "rankstats: dense ranks for competition ranks",

@@ -1007,6 +1007,11 @@ class TestApplyFilter:
         corpus = Corpus(tuple(rec(f"p{i}", ["US"], year=y) for i, y in enumerate(years)))
         assert len(apply_filter(corpus, years={2016})) == 7
 
+    def test_years_are_a_set_not_a_range(self):
+        corpus = Corpus(tuple(rec(f"p{y}", ["US"], year=y) for y in (2015, 2016, 2017)))
+        kept = apply_filter(corpus, years={2015, 2017})
+        assert [r.year for r in kept.records] == [2015, 2017]
+
     def test_default_doc_types_drop_other(self):
         corpus = Corpus(
             (
