@@ -667,13 +667,6 @@ class TestRejectsNamedByPosition:
         assert [r.id for r in corpus.records] == [f"ok{n}" for n in range(len(POSITION_JSONL))]
         assert_same_parse((corpus, report), oracle_parse_jsonl(source))
 
-    @pytest.mark.parametrize("line, message", POSITION_JSONL)
-    def test_jsonl_line_alone(self, line, message):
-        text = "\n\n" + line
-        _, report = parse_jsonl(text)
-        assert report.errors == [("line 3", message)]
-        assert_same_parse(parse_jsonl(text), oracle_parse_jsonl(text))
-
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
     @pytest.mark.parametrize("as_file", [False, True], ids=["text", "lines"])
     def test_csv_rows_are_counted_not_lines(self, newline, as_file):
