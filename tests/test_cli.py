@@ -326,7 +326,12 @@ class TestCount:
     # and in any case, as ingest reads a record's doc type
     @pytest.mark.parametrize(
         "typed, canonical",
-        [("Article", "article"), ("ALL", "all"), ("Default", "default"), ("ARTICLE,Review", "article,review")],
+        [
+            ("Article", "article"),
+            ("ALL", "all"),
+            ("Default", "default"),
+            ("ARTICLE,Review", "article,review"),
+        ],
     )
     def test_doc_types_in_any_case(self, capsys, tmp_path, typed, canonical):
         corpus = Corpus(
@@ -339,9 +344,10 @@ class TestCount:
         )
         path = tmp_path / "c.jsonl"
         path.write_text(to_jsonl(corpus), encoding="utf-8")
-        code, out, err = invoke(capsys, "count", "--input", str(path), "--doc-types", typed)
+        argv = ["count", "--input", str(path), "--doc-types"]
+        code, out, err = invoke(capsys, *argv, typed)
         assert code == 0, err
-        assert (code, out, err) == invoke(capsys, "count", "--input", str(path), "--doc-types", canonical)
+        assert (code, out, err) == invoke(capsys, *argv, canonical)
 
     @pytest.mark.parametrize("typed", ["Letter", "All,article"])
     def test_unknown_doc_type_is_quoted_as_typed(self, capsys, corpus_file, typed):

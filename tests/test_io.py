@@ -670,8 +670,8 @@ class TestRejectsNamedByPosition:
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
     @pytest.mark.parametrize("as_file", [False, True], ids=["text", "lines"])
     def test_csv_rows_are_counted_not_lines(self, newline, as_file):
-        # each quoted subjects cell holds a newline, so every row after it
-        # starts one line later than its number
+        # each quoted subjects cell holds a newline, so the rows after it
+        # start on later lines than their numbers say
         lines = [
             "id,year,doc_type,subjects,author_countries",
             'q1,2016,article,"PHYS',
