@@ -245,6 +245,30 @@ class TestIngest:
         assert code == 0
         assert out == to_csv(mixed_corpus)
 
+    def test_lone_surrogate_is_written_escaped_as_jsonl_and_refused_as_csv(self, capsys, tmp_path):
+        # the JSON escape, not the character: the input itself is valid UTF-8
+        src = tmp_path / "in.jsonl"
+        src.write_text(_jsonl_record("a\\ud800"), encoding="utf-8")
+        jsonl, csv_path = tmp_path / "out.jsonl", tmp_path / "out.csv"
+        csv_path.write_bytes(b"kept\n")
+        code, _, err = invoke(
+            capsys, "ingest", "--input", str(src), "--emit", "jsonl", "--output", str(jsonl)
+        )
+        assert code == 0, err
+        assert jsonl.read_bytes() == (
+            b'{"id":"a\\ud800","year":2016,"doc_type":"article","subjects":[],'
+            b'"authors":[{"countries":["US"]}]}\n'
+        )
+        code, out, err = invoke(
+            capsys, "ingest", "--input", str(src), "--emit", "csv", "--output", str(csv_path)
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: record id 'a\\ud800' contains lone surrogate '\\ud800'; "
+            "UTF-8 cannot encode it\n"
+        )
+        assert csv_path.read_bytes() == b"kept\n"
+
     def test_unreadable_csv_field_exits_without_traceback(self, capsys, tmp_path):
         path = tmp_path / "wide.csv"
         path.write_text(

@@ -198,6 +198,47 @@ class TestRoundTripHostileText:
         assert to_csv(back) == text
 
 
+class TestLoneSurrogates:
+    """A JSON escape such as ``"\\ud800"`` parses to a lone surrogate, which
+    UTF-8 cannot encode: JSONL writes it as that escape, and CSV refuses it."""
+
+    CORPUS = Corpus(
+        (
+            rec("a\ud800", ["US"], subjects=("PHYS",)),
+            rec("p2", ["GB"], ["\udfff"], subjects=("X\udc80Y", "é")),
+        )
+    )
+
+    def test_jsonl_writes_the_escape_and_parses_back(self):
+        text = to_jsonl(self.CORPUS)
+        text.encode("utf-8")
+        lines = text.splitlines()
+        assert lines[0].startswith('{"id":"a\\ud800",')
+        assert '"subjects":["X\\udc80Y","é"]' in lines[1]
+        assert '{"countries":["\\udfff"]}' in lines[1]
+        back, report = parse_jsonl(text)
+        assert report.records_accepted == 2 and report.ok
+        assert back.records == self.CORPUS.records
+        assert to_jsonl(back) == text
+
+    @pytest.mark.parametrize(
+        "record, what, value",
+        [
+            (rec("a\ud800", ["US"]), "record id", "a\ud800"),
+            (rec("p1", ["US"], subjects=("X\udc80Y",)), "subject code", "X\udc80Y"),
+            (rec("p1", ["GB"], ["\udfff"]), "country code", "\udfff"),
+        ],
+        ids=["id", "subject", "country"],
+    )
+    def test_csv_refuses_a_value_holding_one(self, record, what, value):
+        corpus = Corpus((rec("p0", ["US"]), record))
+        surrogate = next(ch for ch in value if "\ud800" <= ch <= "\udfff")
+        message = f"{what} {value!r} contains lone surrogate {surrogate!r}; UTF-8 cannot encode it"
+        with pytest.raises(ValueError) as raised:
+            to_csv(corpus)
+        assert str(raised.value) == message
+
+
 _DROP = object()  # a _row field given this value is left out of the object
 
 
