@@ -221,6 +221,44 @@ MUTANTS = (
         IO_TESTS,
     ),
     Mutant(
+        "ingest: drop to_csv's first pass",
+        INGEST,
+        (
+            (
+                "        subject_cells[record.subjects]\n"
+                "        for author in record.authors:\n"
+                "            author_cells[author.countries]\n",
+                "        pass\n",
+            ),
+        ),
+        IO_TESTS + ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "ingest: lose the last partial chunk",
+        INGEST,
+        (
+            (
+                '    chunks: Iterable[str] = iter(lambda: "".join(islice(lines, _CHUNK_LINES)), "")\n',
+                '    chunks: Iterable[str] = iter(\n'
+                '        lambda: "".join(part) if len(part := list(islice(lines, _CHUNK_LINES))) == _CHUNK_LINES else "",\n'
+                '        "",\n'
+                '    )\n',
+            ),
+        ),
+        IO_TESTS,
+    ),
+    Mutant(
+        "ingest: skip the surrogate escape",
+        INGEST,
+        (
+            (
+                "    return _emit(_jsonl_lines(corpus.records), out, _escape_surrogates)\n",
+                "    return _emit(_jsonl_lines(corpus.records), out)\n",
+            ),
+        ),
+        IO_TESTS,
+    ),
+    Mutant(
         "counting: drop the lcm scale",
         "bibrank/counting.py",
         (("    scale = lcm(*filter(None, map(len, distinct)))\n", "    scale = 1\n"),),

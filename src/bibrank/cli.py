@@ -31,9 +31,10 @@ import gc
 import json
 import sys
 from dataclasses import fields
+from functools import partial
 from itertools import chain
 from operator import attrgetter
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence, TextIO
 
 from . import replication
 from .collaboration import ReductionBasis, country_metrics
@@ -71,12 +72,36 @@ class _Parser(argparse.ArgumentParser):
 # shared plumbing
 
 
-def _write_output(text: str, path: str | None) -> None:
+class _OutputFile(object):
+    """``--output PATH``, opened for writing at the first write."""
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self.file: TextIO | None = None
+
+    def write(self, text: str) -> int:
+        if self.file is None:
+            self.file = open(self.path, "w", encoding="utf-8", newline="")
+        return self.file.write(text)
+
+
+def _write_output(write: Callable[[Any], object], path: str | None) -> None:
+    """Call ``write(out)`` with ``out`` stdout, or the file at ``--output``.
+
+    The file is opened at the first write. A record writer that refuses a
+    corpus raises before it writes, so a file already at the path is then
+    left as it was. An output of no text still creates the file.
+    """
     if path is None or path == "-":
-        sys.stdout.write(text)
+        write(sys.stdout)
         return
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(text)
+    out = _OutputFile(path)
+    try:
+        write(out)
+        out.write("")
+    finally:
+        if out.file is not None:
+            out.file.close()
 
 
 def _sniff_format(path: str, lines: Iterable[str]) -> tuple[str, Iterable[str]]:
@@ -234,7 +259,8 @@ def _write_rows(
     precision: Sequence[int | None] | None = None,
 ) -> None:
     """Render a table in ``--format`` and write it to ``--output``."""
-    _write_output(write_table(headers, rows, args.format, precision=precision), args.output)
+    text = write_table(headers, rows, args.format, precision=precision)
+    _write_output(lambda out: out.write(text), args.output)
 
 
 def _group_name(name: str) -> str:
@@ -266,7 +292,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         rows += [["warning", ref, msg] for ref, msg in report.warnings]
         _write_rows(args, ["severity", "record", "message"], rows)
     else:
-        _write_output(to_jsonl(corpus) if args.emit == "jsonl" else to_csv(corpus), args.output)
+        _write_output(partial(to_jsonl if args.emit == "jsonl" else to_csv, corpus), args.output)
     print(
         f"accepted {report.records_accepted}, rejected {report.records_rejected}, "
         f"{len(report.errors)} error(s), {len(report.warnings)} warning(s)",
@@ -445,7 +471,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     kwargs = {f.name: given[f.name] for f in fields(SynthParams) if f.name in given}
     # SynthParams raises ValueError on bad knobs, which run() reports as exit 1
     corpus = generate(SynthParams(**kwargs))
-    _write_output(to_jsonl(corpus), args.output)
+    _write_output(partial(to_jsonl, corpus), args.output)
     print(f"generated {len(corpus)} records (seed {args.seed})", file=sys.stderr)
     return 0
 

@@ -57,7 +57,11 @@ subject set; all are immutable, so the sharing is safe. A shared author
 list or fields piece keeps its warnings, which are reported again for
 every record that holds it.
 The writers serialize each distinct subject set and author country set
-once per call and reuse the text for every record that holds it.
+once per call and reuse the text for every record that holds it. Given an
+output stream, a writer writes its text there a fixed number of lines at a
+time instead of returning it, so it holds one chunk, not the whole output.
+``to_csv`` builds every cell before its first write, so a value it refuses
+leaves the stream untouched.
 """
 
 from __future__ import annotations
@@ -65,10 +69,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import islice
 from json.decoder import WHITESPACE
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Protocol, overload
 
 from .errors import SchemaError
 from .model import (
@@ -560,6 +566,51 @@ def parse_csv(
 # writers
 
 
+_CHUNK_LINES = 4096
+"""Lines a writer joins into one ``write`` call when it is given a stream."""
+
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+class _TextSink(Protocol):
+    """What a writer writes to: any object with ``write(str)``."""
+
+    def write(self, text: str, /) -> Any: ...
+
+
+def _emit(
+    lines: Iterable[str], out: _TextSink | None, fix: Callable[[str], str] | None = None
+) -> str | None:
+    """Join ``lines`` ``_CHUNK_LINES`` at a time and pass each chunk to ``fix``.
+
+    Each chunk is written to ``out``; with no ``out``, the chunks are
+    returned as one string, so both forms give the same text.
+    """
+    lines = iter(lines)
+    chunks: Iterable[str] = iter(lambda: "".join(islice(lines, _CHUNK_LINES)), "")
+    if fix is not None:
+        chunks = map(fix, chunks)
+    if out is None:
+        return "".join(chunks)
+    for chunk in chunks:
+        out.write(chunk)
+        del chunk  # so the next chunk is joined while this one is already freed
+    return None
+
+
+def _escape_surrogates(text: str) -> str:
+    """``text`` with each surrogate written as its JSON escape ``\\udXXX``.
+
+    A JSON escape can give a string a lone surrogate, which UTF-8 cannot
+    encode; inside a JSON string its escape reads back as the same
+    character. As with ``json.dumps``, a high surrogate followed by a low one
+    reads back as the one character the pair encodes.
+    """
+    if text.isascii():
+        return text
+    return _SURROGATE.sub(lambda m: f"\\u{ord(m[0]):04x}", text)
+
+
 def _check_clean(value: str, what: str, reserved: str) -> str:
     for ch in reserved:
         if ch in value:
@@ -567,6 +618,10 @@ def _check_clean(value: str, what: str, reserved: str) -> str:
                 f"{what} {value!r} contains reserved delimiter {ch!r}; "
                 "cannot be serialized losslessly"
             )
+    if not value.isascii() and (surrogate := _SURROGATE.search(value)):
+        raise ValueError(
+            f"{what} {value!r} contains lone surrogate {surrogate[0]!r}; UTF-8 cannot encode it"
+        )
     return value
 
 
@@ -587,12 +642,7 @@ class _Cells(dict):
         return cell
 
 
-def to_jsonl(corpus: Corpus) -> str:
-    """Serialize a corpus to JSONL, one record per line.
-
-    Subjects and per-author countries are emitted sorted so that equal
-    corpora serialize to identical bytes.
-    """
+def _jsonl_lines(records: Iterable[PublicationRecord]) -> Iterator[str]:
     # each line is the text json.dumps(obj, separators=(",", ":"),
     # ensure_ascii=False) gives for the record object, assembled from cells
     # encoded the same way; authors are keyed by their country sets, whose
@@ -603,12 +653,30 @@ def to_jsonl(corpus: Corpus) -> str:
     middle = _Cells(lambda key: f'"year":{encode(key[1])},"doc_type":{encode(key[2].value)}')
     subjects = _Cells(lambda codes: encode(sorted(codes)))
     authors = _Cells(lambda countries: encode({"countries": sorted(countries)}))
-    return "".join(
+    return (
         f'{{"id":{encode(r.id)},{middle[r.year.__class__, r.year, r.doc_type]},'
         f'"subjects":{subjects[r.subjects]},'
         f'"authors":[{",".join([authors[a.countries] for a in r.authors])}]}}\n'
-        for r in corpus.records
+        for r in records
     )
+
+
+@overload
+def to_jsonl(corpus: Corpus) -> str: ...
+@overload
+def to_jsonl(corpus: Corpus, out: _TextSink) -> None: ...
+
+
+def to_jsonl(corpus: Corpus, out: _TextSink | None = None) -> str | None:
+    """Serialize a corpus to JSONL, one record per line.
+
+    Subjects and per-author countries are emitted sorted so that equal
+    corpora serialize to identical bytes. A lone surrogate is written as its
+    ``\\udXXX`` escape, so the text encodes as UTF-8 and parses back to the
+    same records. Returns the text; given ``out``, writes it there in
+    chunks of a fixed number of lines instead and returns None.
+    """
+    return _emit(_jsonl_lines(corpus.records), out, _escape_surrogates)
 
 
 def _csv_subjects(codes: frozenset[str]) -> str:
@@ -620,29 +688,60 @@ def _csv_author(countries: frozenset[str]) -> str:
     return "+".join(cleaned) or UNRESOLVED
 
 
-def to_csv(corpus: Corpus) -> str:
-    """Serialize a corpus to the CSV record format.
+class _Echo(object):
+    """A file for ``csv.writer`` whose ``write`` returns the line it is given;
+    ``writerow`` returns what ``write`` returns."""
 
-    Unresolved authors are written as the literal ``ZZ``. Subject codes and
-    country codes must not contain the ``;``, ``|`` or ``+`` delimiters.
-    """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    @staticmethod
+    def write(line: str) -> str:
+        return line
+
+
+def _csv_lines(
+    records: Iterable[PublicationRecord], subject_cells: _Cells, author_cells: _Cells
+) -> Iterator[str]:
+    writer = csv.writer(_Echo, lineterminator="\n")
     # csv quotes a field only for the characters of its own line terminator,
     # but its reader also ends a row at a bare "\r": quote such rows whole
-    quoting_writer = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
-    writer.writerow(CSV_HEADER)
-    subject_cells = _Cells(_csv_subjects)
-    author_cells = _Cells(_csv_author)
-    for record in corpus.records:
+    quoting_writer = csv.writer(_Echo, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    yield writer.writerow(CSV_HEADER)
+    for record in records:
         subjects = subject_cells[record.subjects]
         authors = "|".join([author_cells[a.countries] for a in record.authors])
         row = [record.id, record.year, record.doc_type.value, subjects, authors]
         if "\r" in record.id or "\r" in subjects or "\r" in authors:
-            quoting_writer.writerow(row)
+            yield quoting_writer.writerow(row)
         else:
-            writer.writerow(row)
-    return buf.getvalue()
+            yield writer.writerow(row)
+
+
+@overload
+def to_csv(corpus: Corpus) -> str: ...
+@overload
+def to_csv(corpus: Corpus, out: _TextSink) -> None: ...
+
+
+def to_csv(corpus: Corpus, out: _TextSink | None = None) -> str | None:
+    """Serialize a corpus to the CSV record format.
+
+    Unresolved authors are written as the literal ``ZZ``. Subject codes and
+    country codes must not contain the ``;``, ``|`` or ``+`` delimiters, and
+    no value may hold a lone surrogate, which UTF-8 cannot encode. Returns
+    the text; given ``out``, writes it there in chunks of a fixed number of
+    lines instead and returns None. A value that cannot be written raises
+    ``ValueError`` before anything is written.
+    """
+    subject_cells = _Cells(_csv_subjects)
+    author_cells = _Cells(_csv_author)
+    # a first pass builds every cell, so a refused value raises at the first
+    # record holding it, before the first line is written
+    for record in corpus.records:
+        if not record.id.isascii():
+            _check_clean(record.id, "record id", "")
+        subject_cells[record.subjects]
+        for author in record.authors:
+            author_cells[author.countries]
+    return _emit(_csv_lines(corpus.records, subject_cells, author_cells), out)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 
 import bibrank
 from bibrank.cli import run
-from bibrank.ingest import to_csv, to_jsonl
+from bibrank.ingest import _CHUNK_LINES, to_csv, to_jsonl
 from bibrank.model import Corpus, DocType
 from bibrank.synth import SynthParams, generate
 
@@ -279,6 +279,63 @@ class TestIngest:
         code, out, err = invoke(capsys, "ingest", "--input", str(path))
         assert (code, out) == (1, "")
         assert err == "error: row 2: field larger than field limit (131072)\n"
+
+
+C = _CHUNK_LINES
+
+
+@pytest.fixture(scope="module")
+def multi_chunk_corpus():
+    """Two full chunks of records and one more."""
+    return generate(SynthParams(seed=11, n_records=2 * C + 1))
+
+
+class TestStreamedOutput:
+    """synth and ingest --emit jsonl|csv write in chunks: to a path, or to
+    stdout, the bytes are those of the library writer's returned text."""
+
+    def _both_ways(self, capsys, tmp_path, argv):
+        path = tmp_path / "out"
+        code, out, err = invoke(capsys, *argv, "--output", str(path))
+        assert (code, out) == (0, ""), err
+        code, from_stdout, err = invoke(capsys, *argv)
+        assert code == 0, err
+        return path.read_bytes().decode("utf-8"), from_stdout
+
+    @pytest.mark.parametrize("n", [0, 2 * C + 1])
+    def test_synth(self, capsys, tmp_path, multi_chunk_corpus, n):
+        # synth --n-records 0 writes nothing, yet still creates its --output
+        expected = to_jsonl(multi_chunk_corpus) if n else ""
+        argv = ["synth", "--seed", "11", "--n-records", str(n)]
+        assert self._both_ways(capsys, tmp_path, argv) == (expected, expected)
+
+    @pytest.mark.parametrize("n", [0, 1, 2 * C + 1])
+    @pytest.mark.parametrize("emit", ["jsonl", "csv"])
+    def test_ingest_emit(self, capsys, tmp_path, multi_chunk_corpus, n, emit):
+        corpus = Corpus(multi_chunk_corpus.records[:n])
+        src = tmp_path / "in.jsonl"
+        src.write_text(to_jsonl(corpus), encoding="utf-8")
+        expected = to_jsonl(corpus) if emit == "jsonl" else to_csv(corpus)
+        argv = ["ingest", "--input", str(src), "--emit", emit]
+        assert self._both_ways(capsys, tmp_path, argv) == (expected, expected)
+
+    def test_refused_csv_writes_nothing(self, capsys, tmp_path, multi_chunk_corpus):
+        # the one refused value is on the last record, after two full chunks
+        records = multi_chunk_corpus.records[: 2 * C] + (rec("last", ["US"], subjects=("X;Y",)),)
+        src = tmp_path / "in.jsonl"
+        src.write_text(to_jsonl(Corpus(records)), encoding="utf-8")
+        message = (
+            "error: subject code 'X;Y' contains reserved delimiter ';'; "
+            "cannot be serialized losslessly\n"
+        )
+        existing, absent = tmp_path / "existing.csv", tmp_path / "absent.csv"
+        existing.write_bytes(b"kept\r\n")
+        argv = ["ingest", "--input", str(src), "--emit", "csv"]
+        assert invoke(capsys, *argv, "--output", str(existing)) == (1, "", message)
+        assert existing.read_bytes() == b"kept\r\n"
+        assert invoke(capsys, *argv, "--output", str(absent)) == (1, "", message)
+        assert not absent.exists()
+        assert invoke(capsys, *argv) == (1, "", message)
 
 
 class TestCount:

@@ -3,12 +3,14 @@ from __future__ import annotations
 import json
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bibrank.errors import SchemaError
 from bibrank.ingest import (
+    _CHUNK_LINES,
     DEFAULT_DOC_TYPES,
     _split_lines,
     apply_filter,
@@ -198,6 +200,16 @@ class TestRoundTripHostileText:
         assert to_csv(back) == text
 
 
+class _Sink(object):
+    """An output stream that keeps each text written to it."""
+
+    def __init__(self) -> None:
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> None:
+        self.writes.append(text)
+
+
 class TestLoneSurrogates:
     """A JSON escape such as ``"\\ud800"`` parses to a lone surrogate, which
     UTF-8 cannot encode: JSONL writes it as that escape, and CSV refuses it."""
@@ -220,6 +232,9 @@ class TestLoneSurrogates:
         assert report.records_accepted == 2 and report.ok
         assert back.records == self.CORPUS.records
         assert to_jsonl(back) == text
+        sink = _Sink()
+        to_jsonl(self.CORPUS, sink)
+        assert "".join(sink.writes) == text
 
     @pytest.mark.parametrize(
         "record, what, value",
@@ -1033,6 +1048,62 @@ class TestWriters:
         corpus = Corpus((rec("p1", ["US"], subjects=("A;B",)),))
         with pytest.raises(ValueError, match="delimiter"):
             to_csv(corpus)
+
+
+class _Discard(object):
+    def write(self, text: str) -> None:
+        pass
+
+
+C = _CHUNK_LINES
+
+
+@pytest.fixture(scope="module")
+def synth_20k():
+    return generate(SynthParams(seed=3, n_records=20_000))
+
+
+class TestStreamedWriters:
+    @pytest.mark.parametrize("n", [0, 1, C - 1, C, C + 1, 2 * C + 1])
+    @pytest.mark.parametrize(
+        "write, oracle, header", [(to_jsonl, oracle_to_jsonl, 0), (to_csv, oracle_to_csv, 1)], ids=["jsonl", "csv"]
+    )
+    def test_streamed_text_is_the_returned_text(self, synth_20k, n, write, oracle, header):
+        corpus = Corpus(synth_20k.records[:n])
+        sink = _Sink()
+        assert write(corpus, sink) is None
+        text = write(corpus)
+        assert "".join(sink.writes) == text == oracle(corpus)
+        # full chunks, then the rest; an empty JSONL output writes nothing
+        lines = n + header
+        assert [w.count("\n") for w in sink.writes] == [C] * (lines // C) + [lines % C] * (lines % C > 0)
+
+    def test_refused_csv_writes_nothing(self, synth_20k):
+        # the one refused value is on the last record, after two full chunks
+        corpus = Corpus(synth_20k.records[: 2 * C] + (rec("last", ["US"], subjects=("X;Y",)),))
+        sink = _Sink()
+        with pytest.raises(ValueError) as raised:
+            to_csv(corpus, sink)
+        assert str(raised.value) == (
+            "subject code 'X;Y' contains reserved delimiter ';'; cannot be serialized losslessly"
+        )
+        assert sink.writes == []
+
+    # the 2k peak holds that corpus's whole text and the 20k one a chunk of
+    # C lines: 0.8 MB (JSONL) and 0.4 MB (CSV) more, where returning the 20k
+    # text would take 5.6 MB and 1.25 MB more
+    @pytest.mark.parametrize("write, margin_mb", [(to_jsonl, 2.0), (to_csv, 0.75)], ids=["jsonl", "csv"])
+    def test_memory_held_is_a_chunk_not_the_output(self, synth_20k, write, margin_mb):
+        def peak(corpus):
+            tracemalloc.start()
+            try:
+                write(corpus, _Discard())
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small = Corpus(synth_20k.records[:2000])
+        assert peak(synth_20k) <= peak(small) + margin_mb * 1e6
 
 
 class TestApplyFilter:
