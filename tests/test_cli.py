@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -336,6 +337,42 @@ class TestStreamedOutput:
         assert invoke(capsys, *argv, "--output", str(absent)) == (1, "", message)
         assert not absent.exists()
         assert invoke(capsys, *argv) == (1, "", message)
+
+
+    def test_refused_synth_writes_nothing(self, capsys, tmp_path):
+        # ZY's weight is zero once normalized, so the first international
+        # record, number 7,324 of three chunks, has no second country to draw
+        argv = [
+            "synth", "--seed", "6", "--n-records", str(3 * C),
+            "--countries", "AA:1e300,ZY:1e-300", "--collab-prob", "2e-4",
+        ]
+        message = "error: Fewer non-zero entries in p than size\n"
+        existing, absent = tmp_path / "existing.jsonl", tmp_path / "absent.jsonl"
+        existing.write_bytes(b"kept\r\n")
+        assert invoke(capsys, *argv, "--output", str(existing)) == (1, "", message)
+        assert existing.read_bytes() == b"kept\r\n"
+        assert invoke(capsys, *argv, "--output", str(absent)) == (1, "", message)
+        assert not absent.exists()
+        assert invoke(capsys, *argv) == (1, "", message)
+
+    # the 2k peak holds that output's whole text and the 20k one a chunk of
+    # C lines; holding the 20k corpus would take 5.3 MB more
+    def test_synth_holds_a_chunk_not_the_corpus(self, capsys, tmp_path):
+        def peak(n):
+            argv = [
+                "synth", "--seed", "3", "--n-records", str(n), "--authors-max", "12",
+                "--collab-prob", "0.5", "--output", str(tmp_path / "out.jsonl"),
+            ]
+            tracemalloc.start()
+            try:
+                assert run(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                capsys.readouterr()
+
+        peak(10)  # numpy is imported before anything is measured
+        assert peak(20_000) <= peak(2000) + 2.0e6
 
 
 class TestCount:
