@@ -252,11 +252,23 @@ MUTANTS = (
         INGEST,
         (
             (
-                "    return _emit(_jsonl_lines(corpus.records), out, _escape_surrogates)\n",
-                "    return _emit(_jsonl_lines(corpus.records), out)\n",
+                "    return _emit(_jsonl_lines(corpus), out, _escape_surrogates)\n",
+                "    return _emit(_jsonl_lines(corpus), out)\n",
             ),
         ),
         IO_TESTS,
+    ),
+    Mutant(
+        "synth: collect the records before writing",
+        "bibrank/synth.py",
+        (("    return records\n", "    return iter(tuple(records))\n"),),
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "synth: drop the refusal drain",
+        "bibrank/synth.py",
+        (("        return iter(tuple(records))\n", "        return records\n"),),
+        ("tests/test_cli.py",),
     ),
     Mutant(
         "counting: drop the lcm scale",

@@ -53,7 +53,8 @@ from .ingest import (
 )
 from .model import ALL_FIELDS, Corpus, DocType, SubjectScheme, EMPTY_SCHEME
 from .rankstats import assign_ranks, correlation_matrix, pearson, srcc_matrix
-from .synth import SynthParams, generate
+from .synth import SynthParams, iter_records
+from .synth import generate  # noqa: F401 - perfbench wraps it here
 from .tables import FORMATS, write_table
 
 
@@ -469,10 +470,11 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     if "subject_pool" in given:
         given["subject_pool"] = tuple(_names(args.subject_pool, "--subject-pool", "subject code"))
     kwargs = {f.name: given[f.name] for f in fields(SynthParams) if f.name in given}
-    # SynthParams raises ValueError on bad knobs, which run() reports as exit 1
-    corpus = generate(SynthParams(**kwargs))
-    _write_output(partial(to_jsonl, corpus), args.output)
-    print(f"generated {len(corpus)} records (seed {args.seed})", file=sys.stderr)
+    # SynthParams and iter_records raise ValueError on bad knobs, which run()
+    # reports as exit 1, before anything is written
+    params = SynthParams(**kwargs)
+    _write_output(partial(to_jsonl, iter_records(params)), args.output)
+    print(f"generated {params.n_records} records (seed {args.seed})", file=sys.stderr)
     return 0
 
 

@@ -642,6 +642,11 @@ class _Cells(dict):
         return cell
 
 
+# Both writers read a doc type's text from the member's ``_value_``
+# attribute: ``Enum.value`` is a Python-level property, and so is the
+# ``Enum.__hash__`` that keying a memo by the member would call.
+
+
 def _jsonl_lines(records: Iterable[PublicationRecord]) -> Iterator[str]:
     # each line is the text json.dumps(obj, separators=(",", ":"),
     # ensure_ascii=False) gives for the record object, assembled from cells
@@ -650,11 +655,11 @@ def _jsonl_lines(records: Iterable[PublicationRecord]) -> Iterator[str]:
     encode = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
     # the year's class is part of the key: True == 1 and 2016.0 == 2016
     # compare equal but encode differently
-    middle = _Cells(lambda key: f'"year":{encode(key[1])},"doc_type":{encode(key[2].value)}')
+    middle = _Cells(lambda key: f'"year":{encode(key[1])},"doc_type":{encode(key[2])}')
     subjects = _Cells(lambda codes: encode(sorted(codes)))
     authors = _Cells(lambda countries: encode({"countries": sorted(countries)}))
     return (
-        f'{{"id":{encode(r.id)},{middle[r.year.__class__, r.year, r.doc_type]},'
+        f'{{"id":{encode(r.id)},{middle[r.year.__class__, r.year, r.doc_type._value_]},'
         f'"subjects":{subjects[r.subjects]},'
         f'"authors":[{",".join([authors[a.countries] for a in r.authors])}]}}\n'
         for r in records
@@ -662,21 +667,23 @@ def _jsonl_lines(records: Iterable[PublicationRecord]) -> Iterator[str]:
 
 
 @overload
-def to_jsonl(corpus: Corpus) -> str: ...
+def to_jsonl(corpus: Iterable[PublicationRecord]) -> str: ...
 @overload
-def to_jsonl(corpus: Corpus, out: _TextSink) -> None: ...
+def to_jsonl(corpus: Iterable[PublicationRecord], out: _TextSink) -> None: ...
 
 
-def to_jsonl(corpus: Corpus, out: _TextSink | None = None) -> str | None:
-    """Serialize a corpus to JSONL, one record per line.
+def to_jsonl(corpus: Iterable[PublicationRecord], out: _TextSink | None = None) -> str | None:
+    """Serialize a corpus, or any iterable of records, to JSONL, one record per line.
 
     Subjects and per-author countries are emitted sorted so that equal
     corpora serialize to identical bytes. A lone surrogate is written as its
     ``\\udXXX`` escape, so the text encodes as UTF-8 and parses back to the
     same records. Returns the text; given ``out``, writes it there in
-    chunks of a fixed number of lines instead and returns None.
+    chunks of a fixed number of lines instead and returns None. The records
+    are read once, in order, so given ``out`` and an iterator of records,
+    only one chunk's lines are held at a time.
     """
-    return _emit(_jsonl_lines(corpus.records), out, _escape_surrogates)
+    return _emit(_jsonl_lines(corpus), out, _escape_surrogates)
 
 
 def _csv_subjects(codes: frozenset[str]) -> str:
@@ -708,7 +715,7 @@ def _csv_lines(
     for record in records:
         subjects = subject_cells[record.subjects]
         authors = "|".join([author_cells[a.countries] for a in record.authors])
-        row = [record.id, record.year, record.doc_type.value, subjects, authors]
+        row = [record.id, record.year, record.doc_type._value_, subjects, authors]
         if "\r" in record.id or "\r" in subjects or "\r" in authors:
             yield quoting_writer.writerow(row)
         else:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .model import AuthorRef, Corpus, DocType, PublicationRecord, SubjectScheme, EMPTY_SCHEME
 
@@ -98,11 +98,15 @@ def _cdf(probs: np.ndarray) -> list[float]:
     return cdf.tolist()
 
 
-def generate(params: SynthParams, scheme: SubjectScheme | None = None) -> Corpus:
-    """Produce a deterministic synthetic corpus.
+def iter_records(params: SynthParams) -> Iterator[PublicationRecord]:
+    """The records :func:`generate` returns, one at a time, in the same order.
 
-    The same ``params.seed`` always yields byte-identical records. Record
-    ids are zero-padded so lexicographic and generation order coincide.
+    Every check runs on this call, so a weight that ``Generator.choice``
+    refuses raises here, before any record is drawn. Drawing the records
+    can then refuse only an international record whose second country has
+    no weight left once the weights are normalized; when that can happen,
+    every record is drawn on this call too. So iterating never raises, and
+    a writer that takes the records one at a time writes all or none.
     """
     import numpy as np
 
@@ -112,9 +116,22 @@ def generate(params: SynthParams, scheme: SubjectScheme | None = None) -> Corpus
     probs = weights / weights.sum()
     if params.n_records:
         # the checks and errors of the Generator.choice calls the draws
-        # below replace, on a generator of its own so the stream is untouched
+        # replace, on a generator of its own so the stream is untouched
         np.random.Generator(np.random.PCG64(0)).choice(len(countries), p=probs)
-    cdf = _cdf(probs)
+    records = _draw(params, rng, countries, probs, _cdf(probs))
+    if params.collab_prob > 0 and np.count_nonzero(probs) < 2:
+        # an international record would find no second country
+        return iter(tuple(records))
+    return records
+
+
+def _draw(
+    params: SynthParams,
+    rng: np.random.Generator,
+    countries: list[str],
+    probs: np.ndarray,
+    cdf: list[float],
+) -> Iterator[PublicationRecord]:
     # per country: the CDF with that country's weight set to zero
     cdf_without: dict[int, list[float]] = {}
     singles = [AuthorRef(frozenset((c,))) for c in countries]
@@ -124,7 +141,6 @@ def generate(params: SynthParams, scheme: SubjectScheme | None = None) -> Corpus
     # set of a binational one -> the one tuple of AuthorRefs that holds them
     author_lists: dict[tuple[int | frozenset[str], ...], tuple[AuthorRef, ...]] = {}
 
-    records = []
     for i in range(params.n_records):
         n_authors = int(rng.integers(params.authors_min, params.authors_max + 1))
         if rng.random() < params.collab_prob:
@@ -165,18 +181,23 @@ def generate(params: SynthParams, scheme: SubjectScheme | None = None) -> Corpus
         else:
             subjects = frozenset()
 
-        records.append(
-            PublicationRecord(
-                id=f"s{i:07d}",
-                year=params.year,
-                doc_type=DocType.ARTICLE,
-                subjects=subjects,
-                authors=authors,
-            )
+        yield PublicationRecord(
+            id=f"s{i:07d}",
+            year=params.year,
+            doc_type=DocType.ARTICLE,
+            subjects=subjects,
+            authors=authors,
         )
 
+
+def generate(params: SynthParams, scheme: SubjectScheme | None = None) -> Corpus:
+    """Produce a deterministic synthetic corpus.
+
+    The same ``params.seed`` always yields byte-identical records. Record
+    ids are zero-padded so lexicographic and generation order coincide.
+    """
     return Corpus(
-        tuple(records),
+        tuple(iter_records(params)),
         scheme or EMPTY_SCHEME,
         provenance=f"synth(seed={params.seed})",
     )

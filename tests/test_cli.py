@@ -355,8 +355,9 @@ class TestStreamedOutput:
         assert not absent.exists()
         assert invoke(capsys, *argv) == (1, "", message)
 
-    # the 2k peak holds that output's whole text and the 20k one a chunk of
-    # C lines; holding the 20k corpus would take 5.3 MB more
+    # the 2k peak holds that output's whole text; the 20k one holds a chunk
+    # of C lines (1.3 MB more) and the distinct author lists drawn so far
+    # (0.6 MB more), where holding the 20k corpus would take 5.3 MB more
     def test_synth_holds_a_chunk_not_the_corpus(self, capsys, tmp_path):
         def peak(n):
             argv = [
@@ -372,7 +373,7 @@ class TestStreamedOutput:
                 capsys.readouterr()
 
         peak(10)  # numpy is imported before anything is measured
-        assert peak(20_000) <= peak(2000) + 2.0e6
+        assert peak(20_000) <= peak(2000) + 3.0e6
 
 
 class TestCount:
