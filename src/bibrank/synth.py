@@ -19,6 +19,12 @@ draws two distinct countries and guarantees both appear: the first author
 takes the first, the second author the second, remaining authors pick one
 of the two at random. A single-author international record gets one
 author affiliated with both countries.
+
+:func:`iter_records` yields the records one at a time, and
+:func:`generate` is the :class:`Corpus` of them. A caller that writes the
+records as they come, as ``bibrank synth`` does, holds one chunk of output
+and never the corpus. Every check runs when :func:`iter_records` is
+called, so iterating never raises and such a writer writes all or nothing.
 """
 
 from __future__ import annotations
