@@ -642,11 +642,6 @@ class _Cells(dict):
         return cell
 
 
-# Both writers read a doc type's text from the member's ``_value_``
-# attribute: ``Enum.value`` is a Python-level property, and so is the
-# ``Enum.__hash__`` that keying a memo by the member would call.
-
-
 def _jsonl_lines(records: Iterable[PublicationRecord]) -> Iterator[str]:
     # each line is the text json.dumps(obj, separators=(",", ":"),
     # ensure_ascii=False) gives for the record object, assembled from cells
@@ -654,7 +649,8 @@ def _jsonl_lines(records: Iterable[PublicationRecord]) -> Iterator[str]:
     # hash a frozenset caches, rather than by the AuthorRef tuple
     encode = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
     # the year's class is part of the key: True == 1 and 2016.0 == 2016
-    # compare equal but encode differently
+    # compare equal but encode differently; the doc type is its member's
+    # _value_, since Enum.value and Enum.__hash__ are Python-level calls
     middle = _Cells(lambda key: f'"year":{encode(key[1])},"doc_type":{encode(key[2])}')
     subjects = _Cells(lambda codes: encode(sorted(codes)))
     authors = _Cells(lambda countries: encode({"countries": sorted(countries)}))
@@ -715,6 +711,7 @@ def _csv_lines(
     for record in records:
         subjects = subject_cells[record.subjects]
         authors = "|".join([author_cells[a.countries] for a in record.authors])
+        # _value_: Enum.value is a Python-level property
         row = [record.id, record.year, record.doc_type._value_, subjects, authors]
         if "\r" in record.id or "\r" in subjects or "\r" in authors:
             yield quoting_writer.writerow(row)

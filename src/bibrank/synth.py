@@ -122,7 +122,7 @@ def iter_records(params: SynthParams) -> Iterator[PublicationRecord]:
     probs = weights / weights.sum()
     if params.n_records:
         # the checks and errors of the Generator.choice calls the draws
-        # replace, on a generator of its own so the stream is untouched
+        # below replace, on a generator of its own so the stream is untouched
         np.random.Generator(np.random.PCG64(0)).choice(len(countries), p=probs)
     records = _draw(params, rng, countries, probs, _cdf(probs))
     if params.collab_prob > 0 and np.count_nonzero(probs) < 2:
