@@ -126,7 +126,8 @@ def iter_records(params: SynthParams) -> Iterator[PublicationRecord]:
         np.random.Generator(np.random.PCG64(0)).choice(len(countries), p=probs)
     records = _draw(params, rng, countries, probs, _cdf(probs))
     if params.collab_prob > 0 and np.count_nonzero(probs) < 2:
-        # an international record would find no second country
+        # an international record would find no second country and raise
+        # part way through the records: draw them all before any is taken
         return iter(tuple(records))
     return records
 

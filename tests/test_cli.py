@@ -338,7 +338,6 @@ class TestStreamedOutput:
         assert not absent.exists()
         assert invoke(capsys, *argv) == (1, "", message)
 
-
     def test_refused_synth_writes_nothing(self, capsys, tmp_path):
         # ZY's weight is zero once normalized, so the first international
         # record, number 7,324 of three chunks, has no second country to draw
