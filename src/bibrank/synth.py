@@ -4,14 +4,21 @@ Generation is fully deterministic given the seed: the generator is
 numpy's PCG64 (a well-documented 64-bit PRNG with a reproducible stream
 across platforms), and every draw happens in a fixed order per record.
 
-The weighted country draws reproduce numpy's ``Generator.choice(...,
-p=...)`` stream without calling it per record: the cumulative weights are
-built once per call the way ``choice`` builds them, and each pick is a
-bisection of one ``Generator.random()`` draw. Within one corpus, authors
-with the same countries share one :class:`AuthorRef`, records whose
-authors have the same countries in the same order share one ``authors``
-tuple, and records with the same subject pick share one subject set; all
-are immutable, so the sharing is safe.
+Every draw reproduces numpy's ``Generator`` stream without calling a
+``Generator`` method per record. The PCG64 words are read a chunk at a
+time through ``bit_generator.random_raw``, and each draw is derived from
+them in Python as numpy's C code derives it: ``random()`` from a word's top
+53 bits, ``integers`` by Lemire's bounded draw on 32-bit halves (a word's
+high half kept for the next such draw, as PCG64 keeps it), and the subject
+``choice(..., replace=False)`` by Floyd's sample and a shuffle (or, as
+numpy does for a pick of over a fiftieth of a pool of over 10,000 codes,
+by a shuffle of the pool's tail). The weighted country
+draws are a bisection of one ``random()`` draw against cumulative weights
+built once per call the way ``choice(..., p=...)`` builds them. Within one
+corpus, authors with the same countries share one :class:`AuthorRef`,
+records whose authors have the same countries in the same order share one
+``authors`` tuple, and records with the same subject pick share one
+subject set; all are immutable, so the sharing is safe.
 
 Each record flips one biased coin for "international". A domestic record
 draws one country and gives it to every author. An international record
@@ -31,6 +38,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import TYPE_CHECKING, Iterator
 
 from .model import AuthorRef, Corpus, DocType, PublicationRecord, SubjectScheme, EMPTY_SCHEME
@@ -104,19 +112,98 @@ def _cdf(probs: np.ndarray) -> list[float]:
     return cdf.tolist()
 
 
+# raw words per random_raw call: enough to spread its cost, few enough that
+# a streamed synth holds next to nothing of them
+_CHUNK_WORDS = 1024
+
+
+class _Draws(object):
+    """numpy ``Generator`` draws, derived from its bit generator's raw words.
+
+    The 64-bit PCG64 words are read :data:`_CHUNK_WORDS` at a time through
+    ``bit_generator.random_raw``, and each draw is made from them in Python
+    the way numpy's C code makes it from the same words, so the values and
+    the words they use are those of the ``Generator`` method each method
+    names. The bit generator must be fresh: numpy keeps a half-used word in
+    its state, and this object keeps its own.
+    """
+
+    def __init__(self, bit_generator: np.random.BitGenerator) -> None:
+        chunks = iter(lambda: bit_generator.random_raw(_CHUNK_WORDS).tolist(), None)
+        self._word = chain.from_iterable(chunks).__next__
+        # PCG64's next_uint32 returns a word's low half and keeps its high
+        # half for the next 32-bit draw; random() never touches it
+        self._half: int | None = None
+
+    def random(self) -> float:
+        """``Generator.random()``: the top 53 bits of one word."""
+        return (self._word() >> 11) * 2.0**-53
+
+    def bounded(self, high: int) -> int:
+        """``Generator.integers(0, high + 1)`` for ``0 <= high < 2**32``.
+
+        Lemire's multiply-and-reject on 32-bit draws, as numpy's
+        ``buffered_bounded_lemire_uint32``; a range of one value draws nothing.
+        """
+        if not high:
+            return 0
+        span = high + 1
+        m = self._uint32() * span
+        if m & 0xFFFFFFFF < span:
+            # reject the low products that would bias the result
+            threshold = (0x100000000 - span) % span
+            while m & 0xFFFFFFFF < threshold:
+                m = self._uint32() * span
+        return m >> 32
+
+    def _uint32(self) -> int:
+        half = self._half
+        if half is None:
+            word = self._word()
+            self._half = word >> 32
+            return word & 0xFFFFFFFF
+        self._half = None
+        return half
+
+    def sample(self, n: int, k: int) -> list[int]:
+        """``Generator.choice(n, size=k, replace=False).tolist()``."""
+        if n > 10000 and k > n // 50:
+            # numpy shuffles the last k places of range(n) and keeps them
+            picks = list(range(n))
+            self._shuffle(picks, max(n - k, 1))
+            return picks[n - k :]
+        # Floyd's sample: j when the draw from [0, j] is already taken
+        picks = []
+        taken = set()
+        for j in range(n - k, n):
+            pick = self.bounded(j)
+            if pick in taken:
+                pick = j
+            taken.add(pick)
+            picks.append(pick)
+        self._shuffle(picks, 1)
+        return picks
+
+    def _shuffle(self, items: list[int], first: int) -> None:
+        # Fisher-Yates from the end down to index ``first``, as numpy's _shuffle_int
+        for i in range(len(items) - 1, first - 1, -1):
+            j = self.bounded(i)
+            items[i], items[j] = items[j], items[i]
+
+
 def iter_records(params: SynthParams) -> Iterator[PublicationRecord]:
     """The records :func:`generate` returns, one at a time, in the same order.
 
-    Every check runs on this call, so a weight that ``Generator.choice``
-    refuses raises here, before any record is drawn. Drawing the records
-    can then refuse only an international record whose second country has
-    no weight left once the weights are normalized; when that can happen,
-    every record is drawn on this call too. So iterating never raises, and
-    a writer that takes the records one at a time writes all or none.
+    Every check runs on this call, before any record is drawn: a weight that
+    ``Generator.choice`` refuses raises here, and so do international
+    records (``collab_prob > 0``) when fewer than two weights are non-zero
+    once normalized, whether or not a record drawn would be international.
+    So iterating never raises, and a writer that takes the records one at a
+    time writes all or none.
     """
     import numpy as np
 
-    rng = np.random.Generator(np.random.PCG64(params.seed))
+    bit_generator = np.random.PCG64(params.seed)
     countries = sorted(params.country_weights)
     weights = np.array([params.country_weights[c] for c in countries], dtype=float)
     probs = weights / weights.sum()
@@ -124,21 +211,20 @@ def iter_records(params: SynthParams) -> Iterator[PublicationRecord]:
         # the checks and errors of the Generator.choice calls the draws
         # below replace, on a generator of its own so the stream is untouched
         np.random.Generator(np.random.PCG64(0)).choice(len(countries), p=probs)
-    records = _draw(params, rng, countries, probs, _cdf(probs))
-    if params.collab_prob > 0 and np.count_nonzero(probs) < 2:
-        # an international record would find no second country and raise
-        # part way through the records: draw them all before any is taken
-        return iter(tuple(records))
-    return records
+        if params.collab_prob > 0 and np.count_nonzero(probs) < 2:
+            # choice(size=2, replace=False, p=probs)'s refusal
+            raise ValueError("Fewer non-zero entries in p than size")
+    return _draw(params, _Draws(bit_generator), countries, probs, _cdf(probs))
 
 
 def _draw(
     params: SynthParams,
-    rng: np.random.Generator,
+    draws: _Draws,
     countries: list[str],
     probs: np.ndarray,
     cdf: list[float],
 ) -> Iterator[PublicationRecord]:
+    random, bounded, sample = draws.random, draws.bounded, draws.sample
     # per country: the CDF with that country's weight set to zero
     cdf_without: dict[int, list[float]] = {}
     singles = [AuthorRef(frozenset((c,))) for c in countries]
@@ -147,41 +233,44 @@ def _draw(
     # an author list's countries, an index per single-country author and the
     # set of a binational one -> the one tuple of AuthorRefs that holds them
     author_lists: dict[tuple[int | frozenset[str], ...], tuple[AuthorRef, ...]] = {}
+    authors_span = params.authors_max - params.authors_min
+    subjects_span = params.subjects_max - params.subjects_min
 
     for i in range(params.n_records):
-        n_authors = int(rng.integers(params.authors_min, params.authors_max + 1))
-        if rng.random() < params.collab_prob:
+        # rng.integers(authors_min, authors_max + 1)
+        n_authors = params.authors_min + bounded(authors_span)
+        if random() < params.collab_prob:
             # choice(size=2, replace=False, p=probs): two uniforms, then
             # while the picks coincide one more against the CDF without
             # the first pick, as numpy's loop draws them
-            first = bisect_right(cdf, rng.random())
-            second = bisect_right(cdf, rng.random())
+            first = bisect_right(cdf, random())
+            second = bisect_right(cdf, random())
             while second == first:
                 if first not in cdf_without:
                     remaining = probs.copy()
                     remaining[first] = 0
-                    if not remaining.any():
-                        raise ValueError("Fewer non-zero entries in p than size")
                     cdf_without[first] = _cdf(remaining)
-                second = bisect_right(cdf_without[first], rng.random())
+                second = bisect_right(cdf_without[first], random())
             if n_authors == 1:
                 key = (frozenset((countries[first], countries[second])),)
             else:
                 picks = [first, second]
                 for _ in range(n_authors - 2):
-                    picks.append(first if rng.random() < 0.5 else second)
+                    picks.append(first if random() < 0.5 else second)
                 key = tuple(picks)
         else:
-            key = (bisect_right(cdf, rng.random()),) * n_authors
+            key = (bisect_right(cdf, random()),) * n_authors
         authors = author_lists.get(key)
         if authors is None:
             authors = author_lists[key] = tuple(
                 AuthorRef(k) if isinstance(k, frozenset) else singles[k] for k in key
             )
 
-        n_subjects = int(rng.integers(params.subjects_min, params.subjects_max + 1))
+        # rng.integers(subjects_min, subjects_max + 1)
+        n_subjects = params.subjects_min + bounded(subjects_span)
         if n_subjects:
-            picked = tuple(rng.choice(len(pool), size=n_subjects, replace=False).tolist())
+            # rng.choice(len(pool), size=n_subjects, replace=False)
+            picked = tuple(sample(len(pool), n_subjects))
             subjects = subject_sets.get(picked) or subject_sets.setdefault(
                 picked, frozenset(pool[j] for j in picked)
             )

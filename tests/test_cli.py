@@ -354,6 +354,23 @@ class TestStreamedOutput:
         assert not absent.exists()
         assert invoke(capsys, *argv) == (1, "", message)
 
+    @pytest.mark.parametrize("n", [7000, 7400])
+    def test_vanishing_second_country_refused_at_any_length(self, capsys, tmp_path, n):
+        # no record of the first 7,000 is international, one of 7,400 is:
+        # both are refused before anything is written
+        argv = [
+            "synth", "--seed", "6", "--n-records", str(n),
+            "--countries", "AA:1e300,ZY:1e-300", "--collab-prob", "2e-4",
+        ]
+        message = "error: Fewer non-zero entries in p than size\n"
+        existing, absent = tmp_path / "existing.jsonl", tmp_path / "absent.jsonl"
+        existing.write_bytes(b"kept\r\n")
+        assert invoke(capsys, *argv, "--output", str(existing)) == (1, "", message)
+        assert existing.read_bytes() == b"kept\r\n"
+        assert invoke(capsys, *argv, "--output", str(absent)) == (1, "", message)
+        assert not absent.exists()
+        assert invoke(capsys, *argv) == (1, "", message)
+
     # the 2k peak holds that output's whole text; the 20k one holds a chunk
     # of C lines (1.3 MB more) and the distinct author lists drawn so far
     # (0.6 MB more), where holding the 20k corpus would take 5.3 MB more

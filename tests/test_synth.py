@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from bibrank.collaboration import is_international
 from bibrank.ingest import parse_jsonl, to_jsonl
 from bibrank.model import DocType
-from bibrank.synth import SynthParams, generate
+from bibrank.synth import _CHUNK_WORDS, SynthParams, _Draws, generate, iter_records
 
 from oracles import oracle_generate, oracle_to_jsonl
 
@@ -190,3 +191,86 @@ class TestGeneratorGate:
             except ValueError as exc:
                 outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1]
+
+
+# (n, k) for choice(n, size=k, replace=False): k = 0, 1, n and between; the
+# pools of over 10,000 take numpy's tail shuffle once k > n // 50
+SAMPLES = [
+    (n, k)
+    for n, ks in [
+        (1, [0, 1]),
+        (8, [0, 1, 2, 5, 7, 8]),
+        (16, [0, 1, 3, 15, 16]),
+        (40, [0, 1, 2, 20, 39, 40]),
+        (12000, [0, 1, 240, 241, 3000, 12000]),
+        (20000, [0, 1, 400, 401, 20000]),
+    ]
+    for k in ks
+]
+
+
+class TestDrawsMatchGenerator:
+    """``_Draws`` gives numpy's ``Generator`` values, draw for draw, when the
+    calls are interleaved as ``_draw`` interleaves them."""
+
+    def _both(self, seed=19):
+        return np.random.Generator(np.random.PCG64(seed)), _Draws(np.random.PCG64(seed))
+
+    def test_interleaved_stream(self):
+        rng, draws = self._both()
+        for n, k in SAMPLES:
+            # a record's draws: its author count, its coin and countries, a
+            # one-value range that draws nothing, then its subject pick
+            assert int(rng.integers(1, 7)) == 1 + draws.bounded(5)
+            for _ in range(3):
+                assert rng.random() == draws.random()
+            assert int(rng.integers(4, 5)) == 4 + draws.bounded(0)
+            assert rng.choice(n, size=k, replace=False).tolist() == draws.sample(n, k)
+            assert int(rng.integers(0, 3)) == draws.bounded(2)
+
+    @pytest.mark.parametrize("high", [1, 2**31, 3 * 2**30 - 1, 2**32 - 1])
+    def test_wide_ranges_reject_as_lemire_does(self, high):
+        # near 2**31 about half the products are rejected and redrawn
+        rng, draws = self._both(seed=high)
+        for _ in range(500):
+            assert int(rng.integers(0, high + 1)) == draws.bounded(high)
+            assert rng.random() == draws.random()
+
+    def test_reads_raw_words_a_chunk_at_a_time(self):
+        class Counted(object):
+            def __init__(self):
+                self.bit_generator, self.sizes = np.random.PCG64(5), []
+
+            def random_raw(self, size):
+                self.sizes.append(size)
+                return self.bit_generator.random_raw(size)
+
+        counted = Counted()
+        draws = _Draws(counted)
+        for _ in range(2 * _CHUNK_WORDS + 1):
+            draws.random()
+        assert counted.sizes == [_CHUNK_WORDS] * 3
+
+
+class TestVanishingSecondCountry:
+    """International records need two countries with weight left once the
+    weights are normalized; without them every non-empty corpus is refused
+    on the call, whatever its length."""
+
+    WEIGHTS = {"AA": 1e300, "ZY": 1e-300}
+
+    @pytest.mark.parametrize("n_records", [1, 7000, 7400])
+    def test_refused_on_call(self, n_records):
+        params = SynthParams(
+            seed=6, n_records=n_records, country_weights=self.WEIGHTS, collab_prob=2e-4
+        )
+        with pytest.raises(ValueError, match="^Fewer non-zero entries in p than size$"):
+            iter_records(params)
+
+    def test_accepted_when_no_record_can_be_international(self):
+        for n_records, collab_prob in [(50, 0.0), (0, 2e-4)]:
+            params = SynthParams(
+                seed=6, n_records=n_records, country_weights=self.WEIGHTS,
+                collab_prob=collab_prob,
+            )
+            assert {c for r in iter_records(params) for a in r.authors for c in a.countries} <= {"AA"}
