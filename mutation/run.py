@@ -52,6 +52,8 @@ class Mutant(object):
 INGEST = "bibrank/ingest.py"
 IO_TESTS = ("tests/test_io.py",)
 COUNTING_TESTS = ("tests/test_counting.py",)
+SYNTH = "bibrank/synth.py"
+SYNTH_TESTS = ("tests/test_synth.py",)
 
 MUTANTS = (
     Mutant(
@@ -260,15 +262,50 @@ MUTANTS = (
     ),
     Mutant(
         "synth: collect the records before writing",
-        "bibrank/synth.py",
-        (("    return records\n", "    return iter(tuple(records))\n"),),
+        SYNTH,
+        (
+            (
+                "    return _draw(params, _Draws(bit_generator), countries, probs, _cdf(probs))\n",
+                "    return iter(tuple(_draw(params, _Draws(bit_generator), countries, probs, _cdf(probs))))\n",
+            ),
+        ),
         ("tests/test_cli.py",),
     ),
     Mutant(
-        "synth: drop the refusal drain",
-        "bibrank/synth.py",
-        (("        return iter(tuple(records))\n", "        return records\n"),),
+        "synth: drop the up-front refusal",
+        SYNTH,
+        (("        if params.collab_prob > 0 and np.count_nonzero(probs) < 2:\n", "        if False:\n"),),
         ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "synth: a fresh word for every 32-bit draw",
+        SYNTH,
+        (("        half = self._half\n", "        half = None\n"),),
+        SYNTH_TESTS,
+    ),
+    Mutant(
+        "synth: Lemire without its rejection loop",
+        SYNTH,
+        (("            while m & 0xFFFFFFFF < threshold:\n", "            while False:\n"),),
+        SYNTH_TESTS,
+    ),
+    Mutant(
+        "synth: Floyd keeps the colliding value instead of j",
+        SYNTH,
+        (("            if pick in taken:\n                pick = j\n", ""),),
+        SYNTH_TESTS,
+    ),
+    Mutant(
+        "synth: no shuffle after Floyd's sample",
+        SYNTH,
+        (("        self._shuffle(picks, 1)\n", ""),),
+        SYNTH_TESTS,
+    ),
+    Mutant(
+        "synth: a word drawn for a range of one value",
+        SYNTH,
+        (("        if not high:\n            return 0\n", ""),),
+        SYNTH_TESTS,
     ),
     Mutant(
         "counting: drop the lcm scale",
