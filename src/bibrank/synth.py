@@ -12,11 +12,11 @@ them in Python as numpy's C code derives it: ``random()`` from a word's top
 high half kept for the next such draw, as PCG64 keeps it), and the subject
 ``choice(..., replace=False)`` by Floyd's sample and a shuffle (or, as
 numpy does for a pick of over a fiftieth of a pool of over 10,000 codes,
-by a shuffle of the pool's tail). The weighted country
-draws are a bisection of one ``random()`` draw against cumulative weights
-built once per call the way ``choice(..., p=...)`` builds them. Within one
-corpus, authors with the same countries share one :class:`AuthorRef`,
-records whose authors have the same countries in the same order share one
+by a shuffle of the pool's tail). The weighted country draws are a
+bisection of one ``random()`` draw against cumulative weights built once
+per call the way ``choice(..., p=...)`` builds them. Within one corpus,
+authors with the same countries share one :class:`AuthorRef`, records
+whose authors have the same countries in the same order share one
 ``authors`` tuple, and records with the same subject pick share one
 subject set; all are immutable, so the sharing is safe.
 
@@ -195,11 +195,11 @@ def iter_records(params: SynthParams) -> Iterator[PublicationRecord]:
     """The records :func:`generate` returns, one at a time, in the same order.
 
     Every check runs on this call, before any record is drawn: a weight that
-    ``Generator.choice`` refuses raises here, and so do international
-    records (``collab_prob > 0``) when fewer than two weights are non-zero
-    once normalized, whether or not a record drawn would be international.
-    So iterating never raises, and a writer that takes the records one at a
-    time writes all or none.
+    ``Generator.choice`` refuses raises here, and so does a corpus that may
+    hold international records (``collab_prob > 0``) when fewer than two
+    weights are non-zero once normalized, whether or not a record drawn
+    would be international. So iterating never raises, and a writer that
+    takes the records one at a time writes all or none.
     """
     import numpy as np
 
@@ -237,7 +237,7 @@ def _draw(
     subjects_span = params.subjects_max - params.subjects_min
 
     for i in range(params.n_records):
-        # rng.integers(authors_min, authors_max + 1)
+        # Generator.integers(authors_min, authors_max + 1)
         n_authors = params.authors_min + bounded(authors_span)
         if random() < params.collab_prob:
             # choice(size=2, replace=False, p=probs): two uniforms, then
@@ -266,10 +266,10 @@ def _draw(
                 AuthorRef(k) if isinstance(k, frozenset) else singles[k] for k in key
             )
 
-        # rng.integers(subjects_min, subjects_max + 1)
+        # Generator.integers(subjects_min, subjects_max + 1)
         n_subjects = params.subjects_min + bounded(subjects_span)
         if n_subjects:
-            # rng.choice(len(pool), size=n_subjects, replace=False)
+            # Generator.choice(len(pool), size=n_subjects, replace=False)
             picked = tuple(sample(len(pool), n_subjects))
             subjects = subject_sets.get(picked) or subject_sets.setdefault(
                 picked, frozenset(pool[j] for j in picked)

@@ -338,26 +338,11 @@ class TestStreamedOutput:
         assert not absent.exists()
         assert invoke(capsys, *argv) == (1, "", message)
 
-    def test_refused_synth_writes_nothing(self, capsys, tmp_path):
-        # ZY's weight is zero once normalized, so the first international
-        # record, number 7,324 of three chunks, has no second country to draw
-        argv = [
-            "synth", "--seed", "6", "--n-records", str(3 * C),
-            "--countries", "AA:1e300,ZY:1e-300", "--collab-prob", "2e-4",
-        ]
-        message = "error: Fewer non-zero entries in p than size\n"
-        existing, absent = tmp_path / "existing.jsonl", tmp_path / "absent.jsonl"
-        existing.write_bytes(b"kept\r\n")
-        assert invoke(capsys, *argv, "--output", str(existing)) == (1, "", message)
-        assert existing.read_bytes() == b"kept\r\n"
-        assert invoke(capsys, *argv, "--output", str(absent)) == (1, "", message)
-        assert not absent.exists()
-        assert invoke(capsys, *argv) == (1, "", message)
-
-    @pytest.mark.parametrize("n", [7000, 7400])
-    def test_vanishing_second_country_refused_at_any_length(self, capsys, tmp_path, n):
-        # no record of the first 7,000 is international, one of 7,400 is:
-        # both are refused before anything is written
+    @pytest.mark.parametrize("n", [7000, 7400, 3 * C])
+    def test_refused_synth_writes_nothing(self, capsys, tmp_path, n):
+        # ZY's weight is zero once normalized, so an international record
+        # would have no second country to draw. The first one is record
+        # 7,324: the corpus is refused whether or not it holds one
         argv = [
             "synth", "--seed", "6", "--n-records", str(n),
             "--countries", "AA:1e300,ZY:1e-300", "--collab-prob", "2e-4",

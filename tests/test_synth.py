@@ -267,10 +267,6 @@ class TestVanishingSecondCountry:
         with pytest.raises(ValueError, match="^Fewer non-zero entries in p than size$"):
             iter_records(params)
 
-    def test_accepted_when_no_record_can_be_international(self):
-        for n_records, collab_prob in [(50, 0.0), (0, 2e-4)]:
-            params = SynthParams(
-                seed=6, n_records=n_records, country_weights=self.WEIGHTS,
-                collab_prob=collab_prob,
-            )
-            assert {c for r in iter_records(params) for a in r.authors for c in a.countries} <= {"AA"}
+    def test_empty_corpus_not_refused(self):
+        params = SynthParams(seed=6, n_records=0, country_weights=self.WEIGHTS, collab_prob=2e-4)
+        assert list(iter_records(params)) == []
