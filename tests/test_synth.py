@@ -219,8 +219,9 @@ class TestDrawsMatchGenerator:
     def test_interleaved_stream(self):
         rng, draws = self._both()
         for n, k in SAMPLES:
-            # a record's draws: its author count, its coin and countries, a
-            # one-value range that draws nothing, then its subject pick
+            # a record's draws: its author count, its coin and countries, its
+            # subject count (here a one-value range, which draws nothing) and
+            # its subject pick; then a 32-bit draw that may take a kept half
             assert int(rng.integers(1, 7)) == 1 + draws.bounded(5)
             for _ in range(3):
                 assert rng.random() == draws.random()
