@@ -210,8 +210,8 @@ MUTANTS = (
         INGEST,
         (
             (
-                "        if (year_set is None or r.year in year_set)\n",
-                "        if (year_set is None or min(year_set) <= r.year <= max(year_set))\n",
+                "(year_set is None or r.year in year_set)",
+                "(year_set is None or min(year_set) <= r.year <= max(year_set))",
             ),
         ),
         IO_TESTS,
@@ -322,7 +322,7 @@ MUTANTS = (
     Mutant(
         "counting: drop the id sort in _sweep",
         "bibrank/counting.py",
-        (('    for record in sorted(corpus.records, key=attrgetter("id")):\n', "    for record in corpus.records:\n"),),
+        (("    for record in corpus._by_id:\n", "    for record in corpus.records:\n"),),
         COUNTING_TESTS,
     ),
     Mutant(
@@ -357,8 +357,36 @@ MUTANTS = (
     Mutant(
         "model: drop Corpus's duplicate-id check",
         "bibrank/model.py",
-        (("            if record.id in seen:\n", "            if False:\n"),),
+        (("                        if record.id in seen:\n", "                        if False:\n"),),
         ("tests/test_model.py",),
+    ),
+    Mutant(
+        "model: the neighbour compare skips one pair",
+        "bibrank/model.py",
+        (("    next(after, None)\n", "    next(after, None)\n    next(after, None)\n"),),
+        ("tests/test_model.py",),
+    ),
+    Mutant(
+        "model: an unsorted corpus keeps its input order as its id order",
+        "bibrank/model.py",
+        (
+            (
+                '                _id_order = tuple(sorted(records, key=attrgetter("id")))\n',
+                "                _id_order = records\n",
+            ),
+        ),
+        COUNTING_TESTS,
+    ),
+    Mutant(
+        "model: a subset of an unsorted corpus keeps its input order as its id order",
+        "bibrank/model.py",
+        (
+            (
+                "        by_id = kept if self._by_id is self.records else tuple(filter(keep, self._by_id))\n",
+                "        by_id = kept\n",
+            ),
+        ),
+        COUNTING_TESTS,
     ),
     Mutant(
         "cli: open --input as utf-8, not utf-8-sig",

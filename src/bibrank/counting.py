@@ -42,7 +42,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from math import lcm
-from operator import attrgetter
 from typing import Mapping
 
 from .model import ALL_FIELDS, Corpus, UNRESOLVED, countries_of
@@ -148,7 +147,7 @@ def _sweep(
     by_union: dict[tuple[frozenset[str], bool], list[_Shares | None]] = {}
     needs_union = methods != [CountMethod.FRACTIONAL_AUTHOR]
     by_subjects: dict[frozenset[str], list[int]] = {}
-    for record in sorted(corpus.records, key=attrgetter("id")):
+    for record in corpus._by_id:
         authors, subjects = record.authors, record.subjects
         shares = by_tuple.get(id(authors))
         if shares is None:
@@ -222,8 +221,7 @@ def slice_corpus(corpus: Corpus, group: str) -> Corpus:
     if group == ALL_FIELDS:
         return corpus
     codes = corpus.scheme.group(group)
-    kept = tuple(r for r in corpus.records if r.subjects & codes)
-    return Corpus(kept, corpus.scheme, corpus.provenance)
+    return corpus._subset(lambda r: not codes.isdisjoint(r.subjects))
 
 
 def subject_group_count(

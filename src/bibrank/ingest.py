@@ -48,7 +48,9 @@ available) decodes JSONL without the ``json.loads`` wrappers: a whole
 line's value may follow JSON whitespace only and be followed by JSON
 whitespace only, as ``json.loads`` requires. A line that fails any of
 these tests is handed to ``json.loads`` itself, so every error is the one
-it raises, the "Unexpected UTF-8 BOM" and "Extra data" ones included.
+it raises, the "Unexpected UTF-8 BOM" and "Extra data" ones included. A
+line nested too deeply for the decoder, or holding an integer longer than
+the interpreter converts, is one malformed line too, named by its number.
 
 Within one parse call, authors with equal raw country lists share one
 interned :class:`AuthorRef`, records with equal raw author lists share one
@@ -85,6 +87,7 @@ from .model import (
     PublicationRecord,
     SubjectScheme,
     UNRESOLVED,
+    _record,
     is_country_code,
     normalize_country,
 )
@@ -206,7 +209,10 @@ class _Batch(object):
     def finish(
         self, scheme: SubjectScheme | None, provenance: str
     ) -> tuple[Corpus, ValidationReport]:
-        return Corpus(tuple(self.records.values()), scheme or EMPTY_SCHEME, provenance), self.report
+        records = tuple(self.records.values())
+        # the id-keyed dict goes before the corpus checks the ids again
+        self.records.clear()
+        return Corpus(records, scheme or EMPTY_SCHEME, provenance), self.report
 
 
 def _take_doc_type(raw: Any) -> tuple[DocType, tuple[str, ...]]:
@@ -339,7 +345,7 @@ def _take_record(
     report = batch.report
     for message in warnings + taken[1]:
         report.warnings.append((rec_id, message))
-    batch.records[rec_id] = PublicationRecord(rec_id, year, doc_type, subjects, taken[0])
+    batch.records[rec_id] = _record(rec_id, year, doc_type, subjects, taken[0])
     report.records_accepted += 1
     return taken
 
@@ -412,7 +418,7 @@ def _decode_fields(text: str) -> dict[str, Any] | None:
     obj_text = "{" + text + "}"
     try:
         obj, end = _scan(obj_text, 0)
-    except (StopIteration, ValueError):
+    except (StopIteration, ValueError, RecursionError):
         return None
     return obj if obj and end == len(obj_text) else None
 
@@ -423,7 +429,7 @@ def _decode_authors(text: str) -> tuple[Any] | None:
     body = text.lstrip(_JSON_WHITESPACE)
     try:
         value, end = _scan(body, 0)
-    except (StopIteration, ValueError):
+    except (StopIteration, ValueError, RecursionError):
         return None
     return (value,) if body[end:].strip(_JSON_WHITESPACE) == "}" else None
 
@@ -514,6 +520,14 @@ def parse_jsonl(
             obj = _decode(line)
         except json.JSONDecodeError as exc:
             batch.reject(None, f"malformed JSON: {exc.msg}")
+            continue
+        except RecursionError:
+            batch.reject(None, "malformed JSON: nested too deeply")
+            continue
+        except ValueError as exc:
+            # an integer past the interpreter's digit limit; its advice on
+            # raising the limit is cut, as no flag here can
+            batch.reject(None, f"malformed JSON: {str(exc).partition(';')[0]}")
             continue
         if not isinstance(obj, dict):
             batch.reject(None, "record is not a JSON object")
@@ -763,14 +777,13 @@ def apply_filter(
     is preserved and the scheme/provenance carry over.
     """
     year_set = set(years) if years else None
-    type_set = set(doc_types) if doc_types else None
-    kept = tuple(
-        r
-        for r in corpus.records
-        if (year_set is None or r.year in year_set)
+    # a tuple, not a set: an Enum member hashes in Python, and a member is
+    # found in a tuple by identity
+    type_set = tuple(set(doc_types)) if doc_types else None
+    return corpus._subset(
+        lambda r: (year_set is None or r.year in year_set)
         and (type_set is None or r.doc_type in type_set)
     )
-    return Corpus(kept, corpus.scheme, corpus.provenance)
 
 
 # ---------------------------------------------------------------------------

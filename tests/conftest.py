@@ -28,6 +28,16 @@ def rec(
     )
 
 
+def digit_limit_message(digits: int) -> str:
+    """The interpreter's error for an integer literal of ``digits`` digits,
+    without its advice on raising the limit, as the parser reports it."""
+    try:
+        int("9" * digits)
+    except ValueError as exc:
+        return str(exc).partition(";")[0]
+    raise AssertionError(f"this interpreter converts {digits} digits")
+
+
 @pytest.fixture
 def scheme() -> SubjectScheme:
     return SubjectScheme(

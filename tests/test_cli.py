@@ -16,7 +16,7 @@ from bibrank.ingest import _CHUNK_LINES, to_csv, to_jsonl
 from bibrank.model import Corpus, DocType
 from bibrank.synth import SynthParams, generate
 
-from conftest import rec
+from conftest import digit_limit_message, rec
 
 
 def invoke(capsys, *argv: str) -> tuple[int, str, str]:
@@ -269,6 +269,31 @@ class TestIngest:
             "UTF-8 cannot encode it\n"
         )
         assert csv_path.read_bytes() == b"kept\n"
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            (
+                '{"id":"h","year":2016,"authors":' + "[" * 200_000 + "]" * 200_000 + "}",
+                "malformed JSON: nested too deeply",
+            ),
+            (
+                '{"id":"h","year":' + "9" * 5000 + ',"authors":[{"countries":["US"]}]}',
+                "malformed JSON: " + digit_limit_message(5000),
+            ),
+        ],
+        ids=["deep-authors", "long-year"],
+    )
+    def test_hostile_line_is_one_reported_reject(self, capsys, tmp_path, line, message):
+        path = tmp_path / "hostile.jsonl"
+        path.write_text(f"{_jsonl_record('g1')}{line}\n{_jsonl_record('g3')}", encoding="utf-8")
+        code, out, err = invoke(capsys, "ingest", "--input", str(path), "--format", "csv")
+        assert code == 1
+        assert out == f"severity,record,message\nerror,line 2,{message}\n"
+        assert err == f"error: line 2: {message}\naccepted 2, rejected 1, 1 error(s), 0 warning(s)\n"
+        code, out, err = invoke(capsys, "count", "--input", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: line 2: {message}\n")
 
     def test_unreadable_csv_field_exits_without_traceback(self, capsys, tmp_path):
         path = tmp_path / "wide.csv"

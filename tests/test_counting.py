@@ -18,7 +18,15 @@ from bibrank.counting import (
     whole_count,
 )
 from bibrank.errors import UnknownGroupError
-from bibrank.ingest import CountryAggregate, parse_csv, parse_jsonl, to_csv, to_jsonl
+from bibrank.ingest import (
+    DEFAULT_DOC_TYPES,
+    CountryAggregate,
+    apply_filter,
+    parse_csv,
+    parse_jsonl,
+    to_csv,
+    to_jsonl,
+)
 from bibrank.model import (
     ALL_FIELDS,
     UNRESOLVED,
@@ -482,3 +490,47 @@ class TestSweepMatchesFrozenPasses:
         loose = replace(record, subjects=set(record.subjects))
         with pytest.raises(TypeError, match="unhashable"):
             whole_count(Corpus((loose,)))
+
+
+class TestShuffledInput:
+    """A corpus counts in id order whatever its input order: a shuffled copy,
+    filtered and sliced, gives the ordered copy's tables bit for bit."""
+
+    ORDERED = random_corpus(random.Random(23), 400, SWEEP_SCHEME)
+    FILTERS = [
+        {},
+        {"years": {2016, 2017}},
+        {"doc_types": DEFAULT_DOC_TYPES},
+        {"years": {2015}, "doc_types": {DocType.ARTICLE, DocType.OTHER}},
+    ]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("filters", FILTERS, ids=repr)
+    def test_filtered_tables_match_the_ordered_corpus(self, seed, filters):
+        shuffled = _shuffled(self.ORDERED, seed)
+        assert [r.id for r in shuffled] != [r.id for r in self.ORDERED]
+        ordered = apply_filter(self.ORDERED, **filters)
+        kept = apply_filter(shuffled, **filters)
+        assert list(kept) == [r for r in shuffled if r in ordered.records]
+        assert sorted(kept, key=lambda r: r.id) == list(ordered)
+        for method in CountMethod:
+            expected = subject_group_count(ordered, method)
+            got = subject_group_count(kept, method)
+            assert list(got) == list(expected)
+            for group in expected:
+                _assert_same_table(got[group], expected[group])
+                sliced = slice_corpus(kept, group)
+                _assert_same_table(
+                    subject_group_count(sliced, method, [ALL_FIELDS])[ALL_FIELDS],
+                    subject_group_count(slice_corpus(ordered, group), method, [ALL_FIELDS])[ALL_FIELDS],
+                )
+
+    def test_sums_depend_on_the_order(self):
+        # so the match above shows an id order, not an order-free sum
+        records = sorted(self.ORDERED.records, key=lambda r: r.id)
+        forward = fractional_count(Corpus(tuple(records))).scores
+        scores: dict[str, float] = {}
+        for r in reversed(records):
+            for country, share in fractional_count(Corpus((r,))).scores.items():
+                scores[country] = scores.get(country, 0.0) + share
+        assert forward != dict(sorted(scores.items()))

@@ -25,7 +25,7 @@ from bibrank.model import AuthorRef, Corpus, DocType, PublicationRecord
 from bibrank.synth import SynthParams, generate
 from bibrank.tables import format_number, write_table
 
-from conftest import rec
+from conftest import digit_limit_message, rec
 from oracles import oracle_parse_csv, oracle_parse_jsonl, oracle_to_csv, oracle_to_jsonl
 
 MINIMAL = '{"id":"p1","year":2016,"doc_type":"article","subjects":["PHYS"],"authors":[{"countries":["IN"]}]}'
@@ -758,6 +758,48 @@ class TestRejectsNamedByPosition:
         assert report == ref_report
 
 
+# lines the json module refuses for their depth or an integer's length, not
+# their syntax; the reference parser raises on them, so each has its own report
+_TOO_DEEP = "malformed JSON: nested too deeply"
+_TOO_LONG = "malformed JSON: " + digit_limit_message(5000)
+_DEEP = "[" * 200_000 + "]" * 200_000
+HOSTILE_JSONL = [
+    pytest.param('{"id":"h","year":2016,"authors":' + _DEEP + "}", _TOO_DEEP, id="deep-authors"),
+    pytest.param('{"id":"h","year":2016,"subjects":' + _DEEP + ',"authors":[]}', _TOO_DEEP, id="deep-fields"),
+    pytest.param('{"year":2016,"id":"h","authors":' + _DEEP + "}", _TOO_DEEP, id="deep-whole-line"),
+    pytest.param(_DEEP, _TOO_DEEP, id="deep-array"),
+    pytest.param('{"id":"h","year":' + "9" * 5000 + ',"authors":[{"countries":["US"]}]}', _TOO_LONG, id="long-year"),
+    pytest.param('{"year":' + "9" * 5000 + ',"id":"h","authors":[{"countries":["US"]}]}', _TOO_LONG, id="long-year-whole-line"),
+    pytest.param('{"id":"h","year":2016,"authors":[{"countries":[' + "1" * 5000 + "]}]}", _TOO_LONG, id="long-in-authors"),
+]
+
+
+class TestHostileLines:
+    """A hostile line is one reject named by its line; the records around it
+    are accepted."""
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("as_file", [False, True], ids=["text", "lines"])
+    @pytest.mark.parametrize("line, message", HOSTILE_JSONL)
+    def test_jsonl(self, line, message, newline, as_file):
+        lines = [_row("g1"), line, _row("g3")]
+        source = [x + newline for x in lines] if as_file else newline.join(lines)
+        corpus, report = parse_jsonl(source)
+        assert report.errors == [("line 2", message)]
+        assert (report.records_accepted, report.records_rejected) == (2, 1)
+        assert [r.id for r in corpus.records] == ["g1", "g3"]
+        assert report.warnings == []
+
+    def test_csv_year_past_the_digit_limit_is_rejected_by_id(self):
+        year = "9" * 5000
+        corpus, report = parse_csv(
+            "id,year,doc_type,subjects,author_countries\n"
+            f"g1,2016,article,PHYS,US\nh,{year},article,PHYS,US\ng3,2016,article,PHYS,US\n"
+        )
+        assert report.errors == [("h", f"year {year!r} is not an integer")]
+        assert [r.id for r in corpus.records] == ["g1", "g3"]
+
+
 class TestInterning:
     TEXT = "\n".join(
         [
@@ -1104,6 +1146,21 @@ class TestStreamedWriters:
 
         small = Corpus(synth_20k.records[:2000])
         assert peak(synth_20k) <= peak(small) + margin_mb * 1e6
+
+
+class TestParseMemory:
+    def test_peak_per_record(self, synth_20k):
+        # slotted records and no id table beside the batch's: about 180 B a
+        # record, where an instance dict per record and an id set took 350
+        text = to_jsonl(synth_20k)
+        tracemalloc.start()
+        try:
+            corpus, _ = parse_jsonl(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(corpus) == len(synth_20k)
+        assert peak <= 240 * len(synth_20k)
 
 
 class TestApplyFilter:

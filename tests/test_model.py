@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError, fields, replace
+
 import pytest
 
 from bibrank.errors import UnknownGroupError
@@ -9,8 +11,10 @@ from bibrank.model import (
     Corpus,
     DocType,
     EMPTY_SCHEME,
+    PublicationRecord,
     SubjectScheme,
     UNRESOLVED,
+    _record,
     countries_of,
     is_country_code,
     normalize_country,
@@ -119,6 +123,50 @@ class TestCorpus:
         with pytest.raises(ValueError, match="duplicate"):
             Corpus((rec("p1", ["US"]), rec("p1", ["GB"])))
 
+    def test_duplicate_named_is_the_first_repeat_in_record_order(self):
+        # in id order the first equal neighbours are the two "a" records
+        records = (rec("a", ["US"]), rec("b", ["GB"]), rec("b", ["FR"]), rec("a", ["DE"]))
+        with pytest.raises(ValueError, match="^duplicate record id 'b'$"):
+            Corpus(records)
+
+    def test_records_keep_their_input_order(self):
+        ids = ["p3", "p1", "p10", "p2"]
+        assert [r.id for r in Corpus(tuple(rec(i, ["US"]) for i in ids))] == ids
+
+    def test_id_order_is_not_part_of_repr_or_equality(self, mixed_corpus):
+        shuffled = Corpus(mixed_corpus.records[::-1], mixed_corpus.scheme)
+        again = Corpus(tuple(shuffled.records), mixed_corpus.scheme)
+        assert shuffled == again
+        assert hash(shuffled.records) == hash(again.records)
+        assert repr(shuffled) == (
+            f"Corpus(records={shuffled.records!r}, scheme={mixed_corpus.scheme!r}, provenance='')"
+        )
+
     def test_len_and_iter(self, mixed_corpus):
         assert len(mixed_corpus) == 6
         assert [r.id for r in mixed_corpus] == ["p1", "p2", "p3", "p4", "p5", "p6"]
+
+
+class TestPublicationRecord:
+    def test_records_hold_no_instance_dict(self):
+        record = rec("p1", ["US"], subjects=("PHYS",))
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            record.year = 2017  # type: ignore[misc]
+
+    def test_replace_still_builds_a_new_record(self):
+        record = rec("p1", ["US"], subjects=("PHYS",))
+        moved = replace(record, year=2017)
+        assert moved == rec("p1", ["US"], year=2017, subjects=("PHYS",))
+        assert moved.authors is record.authors
+        assert record.year == 2016
+
+    def test_the_parsers_builder_sets_every_field(self):
+        # _record sets the slots one by one, so it must name every field
+        assert [f.name for f in fields(PublicationRecord)] == ["id", "year", "doc_type", "subjects", "authors"]
+        args = ("p1", 2016, DocType.REVIEW, frozenset({"PHYS"}), (AuthorRef(frozenset({"US"})),))
+        built = _record(*args)
+        assert type(built) is PublicationRecord
+        assert built == PublicationRecord(*args)
+        assert hash(built) == hash(PublicationRecord(*args))
+        assert repr(built) == repr(PublicationRecord(*args))
