@@ -133,14 +133,19 @@ class TestCorpus:
         ids = ["p3", "p1", "p10", "p2"]
         assert [r.id for r in Corpus(tuple(rec(i, ["US"]) for i in ids))] == ids
 
-    def test_id_order_is_not_part_of_repr_or_equality(self, mixed_corpus):
+    def test_id_order_is_not_part_of_repr_equality_or_replace(self, mixed_corpus):
         shuffled = Corpus(mixed_corpus.records[::-1], mixed_corpus.scheme)
-        again = Corpus(tuple(shuffled.records), mixed_corpus.scheme)
-        assert shuffled == again
-        assert hash(shuffled.records) == hash(again.records)
         assert repr(shuffled) == (
             f"Corpus(records={shuffled.records!r}, scheme={mixed_corpus.scheme!r}, provenance='')"
         )
+        # a subset handed its id order equals one that works it out
+        subset = shuffled._subset(lambda r: r.id != "p3")
+        assert subset == Corpus(tuple(r for r in shuffled if r.id != "p3"), mixed_corpus.scheme)
+        assert [r.id for r in subset._by_id] == ["p1", "p2", "p4", "p5", "p6"]
+        # replace works out the order of the records it is given
+        ordered = replace(shuffled, records=mixed_corpus.records)
+        assert ordered == mixed_corpus
+        assert ordered._by_id is ordered.records
 
     def test_len_and_iter(self, mixed_corpus):
         assert len(mixed_corpus) == 6
