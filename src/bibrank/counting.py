@@ -221,7 +221,7 @@ def slice_corpus(corpus: Corpus, group: str) -> Corpus:
     if group == ALL_FIELDS:
         return corpus
     codes = corpus.scheme.group(group)
-    return corpus._subset(lambda r: not codes.isdisjoint(r.subjects))
+    return corpus._subset(lambda r: r.subjects & codes)
 
 
 def subject_group_count(

@@ -87,7 +87,6 @@ from .model import (
     PublicationRecord,
     SubjectScheme,
     UNRESOLVED,
-    _record,
     is_country_code,
     normalize_country,
 )
@@ -345,7 +344,7 @@ def _take_record(
     report = batch.report
     for message in warnings + taken[1]:
         report.warnings.append((rec_id, message))
-    batch.records[rec_id] = _record(rec_id, year, doc_type, subjects, taken[0])
+    batch.records[rec_id] = PublicationRecord(rec_id, year, doc_type, subjects, taken[0])
     report.records_accepted += 1
     return taken
 
@@ -777,9 +776,7 @@ def apply_filter(
     is preserved and the scheme/provenance carry over.
     """
     year_set = set(years) if years else None
-    # a tuple, not a set: an Enum member hashes in Python, and a member is
-    # found in a tuple by identity
-    type_set = tuple(set(doc_types)) if doc_types else None
+    type_set = set(doc_types) if doc_types else None
     return corpus._subset(
         lambda r: (year_set is None or r.year in year_set)
         and (type_set is None or r.doc_type in type_set)

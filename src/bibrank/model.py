@@ -8,7 +8,7 @@ are credited to the pseudo-country ``ZZ`` at counting time.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field, fields
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from itertools import tee
 from operator import attrgetter, lt
@@ -146,30 +146,6 @@ class PublicationRecord(object):
     doc_type: DocType
     subjects: frozenset[str] = frozenset()
     authors: tuple[AuthorRef, ...] = ()
-
-
-_set_id, _set_year, _set_doc_type, _set_subjects, _set_authors = (
-    PublicationRecord.__dict__[f.name].__set__ for f in fields(PublicationRecord)
-)
-
-
-def _record(
-    rec_id: str, year: int, doc_type: DocType, subjects: frozenset[str], authors: tuple[AuthorRef, ...]
-) -> PublicationRecord:
-    """``PublicationRecord(rec_id, year, doc_type, subjects, authors)``, built
-    by setting its slots directly.
-
-    A frozen dataclass's ``__init__`` sets each field through
-    ``object.__setattr__``. The parsers build one record per input line and
-    ``synth`` one per draw; this builds it in about two thirds of that time.
-    """
-    record = object.__new__(PublicationRecord)
-    _set_id(record, rec_id)
-    _set_year(record, year)
-    _set_doc_type(record, doc_type)
-    _set_subjects(record, subjects)
-    _set_authors(record, authors)
-    return record
 
 
 def countries_of(record: PublicationRecord) -> frozenset[str]:

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import TYPE_CHECKING, Iterator
 
-from .model import AuthorRef, Corpus, DocType, PublicationRecord, SubjectScheme, EMPTY_SCHEME, _record
+from .model import AuthorRef, Corpus, DocType, PublicationRecord, SubjectScheme, EMPTY_SCHEME
 
 # numpy is imported inside the functions that use it: importing it takes
 # longer than importing the rest of bibrank, and most commands never need it
@@ -277,7 +277,13 @@ def _draw(
         else:
             subjects = frozenset()
 
-        yield _record(f"s{i:07d}", params.year, DocType.ARTICLE, subjects, authors)
+        yield PublicationRecord(
+            id=f"s{i:07d}",
+            year=params.year,
+            doc_type=DocType.ARTICLE,
+            subjects=subjects,
+            authors=authors,
+        )
 
 
 def generate(params: SynthParams, scheme: SubjectScheme | None = None) -> Corpus:

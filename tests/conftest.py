@@ -30,12 +30,17 @@ def rec(
 
 def digit_limit_message(digits: int) -> str:
     """The interpreter's error for an integer literal of ``digits`` digits,
-    without its advice on raising the limit, as the parser reports it."""
+    without its advice on raising the limit, as the parser reports it.
+
+    Skips the calling test when the interpreter has no integer-digit limit
+    (before 3.10.7, or with ``PYTHONINTMAXSTRDIGITS=0``): such an integer
+    then converts, and there is nothing to reject.
+    """
     try:
         int("9" * digits)
     except ValueError as exc:
         return str(exc).partition(";")[0]
-    raise AssertionError(f"this interpreter converts {digits} digits")
+    pytest.skip(f"this interpreter converts {digits} digits")
 
 
 @pytest.fixture

@@ -279,12 +279,14 @@ class TestIngest:
             ),
             (
                 '{"id":"h","year":' + "9" * 5000 + ',"authors":[{"countries":["US"]}]}',
-                "malformed JSON: " + digit_limit_message(5000),
+                None,  # the interpreter's digit-limit message, read when the test runs
             ),
         ],
         ids=["deep-authors", "long-year"],
     )
     def test_hostile_line_is_one_reported_reject(self, capsys, tmp_path, line, message):
+        if message is None:
+            message = "malformed JSON: " + digit_limit_message(5000)
         path = tmp_path / "hostile.jsonl"
         path.write_text(f"{_jsonl_record('g1')}{line}\n{_jsonl_record('g3')}", encoding="utf-8")
         code, out, err = invoke(capsys, "ingest", "--input", str(path), "--format", "csv")

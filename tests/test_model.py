@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, fields, replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -11,10 +11,8 @@ from bibrank.model import (
     Corpus,
     DocType,
     EMPTY_SCHEME,
-    PublicationRecord,
     SubjectScheme,
     UNRESOLVED,
-    _record,
     countries_of,
     is_country_code,
     normalize_country,
@@ -165,13 +163,3 @@ class TestPublicationRecord:
         assert moved == rec("p1", ["US"], year=2017, subjects=("PHYS",))
         assert moved.authors is record.authors
         assert record.year == 2016
-
-    def test_the_parsers_builder_sets_every_field(self):
-        # _record sets the slots one by one, so it must name every field
-        assert [f.name for f in fields(PublicationRecord)] == ["id", "year", "doc_type", "subjects", "authors"]
-        args = ("p1", 2016, DocType.REVIEW, frozenset({"PHYS"}), (AuthorRef(frozenset({"US"})),))
-        built = _record(*args)
-        assert type(built) is PublicationRecord
-        assert built == PublicationRecord(*args)
-        assert hash(built) == hash(PublicationRecord(*args))
-        assert repr(built) == repr(PublicationRecord(*args))
