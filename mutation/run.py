@@ -389,6 +389,12 @@ MUTANTS = (
         COUNTING_TESTS,
     ),
     Mutant(
+        "model: a subset that drops records keeps its parent's id order",
+        "bibrank/model.py",
+        (("        if len(kept) == len(self.records):\n", "        if len(kept) <= len(self.records):\n"),),
+        COUNTING_TESTS,
+    ),
+    Mutant(
         "cli: open --input as utf-8, not utf-8-sig",
         "bibrank/cli.py",
         (('            encoding="utf-8-sig",\n', '            encoding="utf-8",\n'),),

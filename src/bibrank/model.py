@@ -255,8 +255,10 @@ class Corpus(object):
         """The corpus of the records ``keep`` is true for, in both orders.
 
         ``keep`` runs once on each record in order, and once more in id
-        order only where that order differs.
+        order only where that order differs and some record was dropped.
         """
         kept = tuple(filter(keep, self.records))
+        if len(kept) == len(self.records):
+            return Corpus(self.records, self.scheme, self.provenance, self._by_id)
         by_id = kept if self._by_id is self.records else tuple(filter(keep, self._by_id))
         return Corpus(kept, self.scheme, self.provenance, by_id)

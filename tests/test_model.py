@@ -145,6 +145,13 @@ class TestCorpus:
         assert ordered == mixed_corpus
         assert ordered._by_id is ordered.records
 
+    def test_a_subset_that_keeps_every_record_shares_both_orders(self, mixed_corpus):
+        shuffled = Corpus(mixed_corpus.records[::-1], mixed_corpus.scheme)
+        whole = shuffled._subset(lambda r: True)
+        assert whole == shuffled and whole is not shuffled
+        assert whole.records is shuffled.records
+        assert whole._by_id is shuffled._by_id
+
     def test_len_and_iter(self, mixed_corpus):
         assert len(mixed_corpus) == 6
         assert [r.id for r in mixed_corpus] == ["p1", "p2", "p3", "p4", "p5", "p6"]
