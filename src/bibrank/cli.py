@@ -38,7 +38,7 @@ from typing import Any, Callable, Iterable, Sequence, TextIO
 
 from . import replication
 from .collaboration import ReductionBasis, country_metrics
-from .counting import CountMethod, FractionalMode, ScoreTable, subject_group_count
+from .counting import CountMethod, ScoreTable, subject_group_count
 from .counting import fractional_count, slice_corpus, whole_count  # noqa: F401 - perfbench wraps them here
 from .errors import SchemaError, UndefinedInputError, UnknownGroupError
 from .ingest import (
@@ -236,7 +236,7 @@ def _method(args: argparse.Namespace) -> CountMethod:
     """The counting method selected by ``--method`` and ``--mode``."""
     if args.method == "whole":
         return CountMethod.WHOLE
-    return FractionalMode(args.mode).method
+    return CountMethod(f"fractional_{args.mode}")
 
 
 def _score_decimals(method: CountMethod) -> int | None:
@@ -269,17 +269,15 @@ def _group_name(name: str) -> str:
     return ALL_FIELDS if name.lower() == "all" else name
 
 
+def _count_tables(args: argparse.Namespace, groups: list[str] | None) -> dict[str, ScoreTable]:
+    """Load and filter the input, then count ``groups`` (None: ``ALL`` and every scheme group)."""
+    return subject_group_count(_filtered_corpus(args, groups or ()), _method(args), groups)
+
+
 def _group_count(args: argparse.Namespace) -> ScoreTable:
     """Load and filter the input, restrict it to ``--group``, then count."""
     group = _group_name(args.group) if args.group else ALL_FIELDS
-    return subject_group_count(_filtered_corpus(args, [group]), _method(args), [group])[group]
-
-
-def _slice_tables(args: argparse.Namespace) -> dict[str, ScoreTable]:
-    """Load and filter the input, then count each of ``--slices``."""
-    names = _names(args.slices, "--slices", "subject group")
-    groups = [_group_name(n) for n in names]
-    return subject_group_count(_filtered_corpus(args, groups), _method(args), groups)
+    return _count_tables(args, [group])[group]
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +311,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 def _cmd_collab(args: argparse.Namespace) -> int:
     corpus = _filtered_corpus(args)
-    metrics = country_metrics(corpus, ReductionBasis(args.basis), FractionalMode(args.mode))
+    metrics = country_metrics(corpus, ReductionBasis(args.basis), _method(args))
     headers = ["country", "wc", "fc", "icp", "icp_pct", "reduction_pct", "ratio"]
     _write_rows(args, headers, _attr_rows(metrics, headers), [None, 0, 2, 0, 1, 1, 2])
     return 0
@@ -332,7 +330,8 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 
 
 def _cmd_correlate(args: argparse.Namespace) -> int:
-    tables = _slice_tables(args)
+    names = _names(args.slices, "--slices", "subject group")
+    tables = _count_tables(args, [_group_name(n) for n in names])
     if args.stat == "spearman":
         matrix = srcc_matrix(tables)
     else:
@@ -345,8 +344,7 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
 
 
 def _cmd_subjects(args: argparse.Namespace) -> int:
-    method = _method(args)
-    tables = subject_group_count(_filtered_corpus(args), method)
+    tables = _count_tables(args, None)
     # a group with no country to rank (no record, or only ZZ) gets no rows
     rows = [
         [entry.country, group, entry.score, entry.rank]
@@ -354,7 +352,7 @@ def _cmd_subjects(args: argparse.Namespace) -> int:
         if table.countries()
         for entry in assign_ranks(table).entries
     ]
-    precision = [None, None, _score_decimals(method), None]
+    precision = [None, None, _score_decimals(tables[ALL_FIELDS].method), None]
     _write_rows(args, ["country", "group", "tp", "rank"], rows, precision)
     return 0
 
@@ -509,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analysis.add_argument(
         "--mode",
-        choices=[m.value for m in FractionalMode],
+        choices=["author", "country"],
         default="author",
         help="fractional credit split (ignored for whole counting)",
     )
@@ -542,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="fc",
         help="denominator for reduction_pct: (wc-fc)/fc or (wc-fc)/wc",
     )
-    p.set_defaults(func=_cmd_collab)
+    p.set_defaults(func=_cmd_collab, method="fractional")
 
     p = sub.add_parser("rank", parents=[counted], help="ranked country table")
     p.add_argument("--group", help="restrict to one subject group before ranking")

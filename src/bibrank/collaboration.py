@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .counting import CountMethod, FractionalMode, ScoreTable, _ICP, _is_international, _sweep
+from .counting import CountMethod, ScoreTable, _ICP, _fractional, _is_international, _sweep
 from .counting import fractional_count, whole_count  # noqa: F401 - perfbench wraps them here
 from .errors import UndefinedInputError
 from .ingest import CountryAggregate
@@ -114,7 +114,7 @@ def derive_metrics(
 def country_metrics(
     corpus: Corpus,
     basis: ReductionBasis = ReductionBasis.FC_BASIS,
-    mode: FractionalMode = FractionalMode.AUTHOR,
+    method: CountMethod = CountMethod.FRACTIONAL_AUTHOR,
 ) -> list[CountryMetrics]:
     """Compute the three indicators for every resolved country in a corpus.
 
@@ -122,7 +122,7 @@ def country_metrics(
     ties. ``ZZ`` is excluded: the indicators compare national counting
     methods and the unresolved bucket is not a country.
     """
-    methods = [CountMethod.WHOLE, mode.method, _ICP]
+    methods = [CountMethod.WHOLE, _fractional(method), _ICP]
     tables = _sweep(corpus, methods, [ALL_FIELDS])
     wc, fc, icp = (tables[m][ALL_FIELDS] for m in methods)
     aggregates = [

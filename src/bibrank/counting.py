@@ -187,29 +187,30 @@ def whole_count(corpus: Corpus) -> ScoreTable:
     return _sweep(corpus, [CountMethod.WHOLE], [ALL_FIELDS])[CountMethod.WHOLE][ALL_FIELDS]
 
 
-class FractionalMode(enum.Enum):
-    """How one record's unit of credit is divided."""
+class FractionalMode(object):
+    """Deprecated alias: the two fractional :class:`CountMethod` members."""
 
-    AUTHOR = "author"
-    COUNTRY = "country"
+    AUTHOR = CountMethod.FRACTIONAL_AUTHOR
+    COUNTRY = CountMethod.FRACTIONAL_COUNTRY
 
-    @property
-    def method(self) -> CountMethod:
-        """The :class:`CountMethod` that counts with this split."""
-        return CountMethod(f"fractional_{self.value}")
+
+def _fractional(method: CountMethod) -> CountMethod:
+    if method not in (CountMethod.FRACTIONAL_AUTHOR, CountMethod.FRACTIONAL_COUNTRY):
+        raise ValueError(f"{method!r} is not a fractional counting method")
+    return method
 
 
 def fractional_count(
-    corpus: Corpus, mode: FractionalMode = FractionalMode.AUTHOR
+    corpus: Corpus, method: CountMethod = CountMethod.FRACTIONAL_AUTHOR
 ) -> ScoreTable:
     """Distribute exactly one unit of credit per record.
 
-    Author mode (the default) splits by author first, then by each
-    author's countries; country mode splits evenly over the record's
-    distinct countries. Total credit equals the number of records up to
-    float rounding.
+    ``FRACTIONAL_AUTHOR`` (the default) splits by author first, then by each
+    author's countries; ``FRACTIONAL_COUNTRY`` splits evenly over the
+    record's distinct countries, and any other method raises ``ValueError``.
+    Total credit equals the number of records up to float rounding.
     """
-    return _sweep(corpus, [mode.method], [ALL_FIELDS])[mode.method][ALL_FIELDS]
+    return _sweep(corpus, [_fractional(method)], [ALL_FIELDS])[method][ALL_FIELDS]
 
 
 def slice_corpus(corpus: Corpus, group: str) -> Corpus:

@@ -17,7 +17,6 @@ import pytest
 from bibrank.collaboration import country_metrics, is_international
 from bibrank.counting import (
     CountMethod,
-    FractionalMode,
     fractional_count,
     subject_group_count,
     whole_count,
@@ -167,7 +166,7 @@ def test_criterion_6_synthetic_invariants():
             fc = fractional_count(corpus)
             wc = whole_count(corpus)
             assert abs(fc.total() - n_records) <= 1e-6
-            fc_country = fractional_count(corpus, mode=FractionalMode.COUNTRY)
+            fc_country = fractional_count(corpus, method=CountMethod.FRACTIONAL_COUNTRY)
             assert abs(fc_country.total() - n_records) <= 1e-6
             for country, share in fc.scores.items():
                 assert share <= wc.score(country)
@@ -229,7 +228,7 @@ def test_criterion_7_oracle_equivalence():
             assert set(fc) == set(expected)
             for country, share in expected.items():
                 assert abs(fc[country] - share) <= 1e-9
-            fc_c = fractional_count(corpus, mode=FractionalMode.COUNTRY).scores
+            fc_c = fractional_count(corpus, method=CountMethod.FRACTIONAL_COUNTRY).scores
             expected_c = oracle_fractional_country(corpus)
             assert set(fc_c) == set(expected_c)
             for country, share in expected_c.items():

@@ -13,6 +13,7 @@ from bibrank.collaboration import (
     reduction_icp_ratio,
     reduction_pct,
 )
+from bibrank.counting import CountMethod
 from bibrank.errors import UndefinedInputError
 from bibrank.ingest import CountryAggregate
 from bibrank.model import Corpus
@@ -113,6 +114,10 @@ class TestCorpusMetrics:
         assert gb.icp_pct == 100.0
         assert gb.reduction_pct == 100.0
         assert gb.ratio == 1.0
+
+    def test_whole_method_is_refused(self, mixed_corpus):
+        with pytest.raises(ValueError, match="not a fractional counting method"):
+            country_metrics(mixed_corpus, ReductionBasis.FC_BASIS, CountMethod.WHOLE)
 
 
 class TestDeriveMetrics:

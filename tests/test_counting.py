@@ -49,6 +49,8 @@ from oracles import (
     random_corpus,
 )
 
+FRACTIONAL = (CountMethod.FRACTIONAL_AUTHOR, CountMethod.FRACTIONAL_COUNTRY)
+
 
 class TestWholeCount:
     def test_every_country_gets_full_credit(self, mixed_corpus):
@@ -91,7 +93,7 @@ class TestFractionalCount:
             assert table.scores[country] == pytest.approx(float(share), abs=1e-12)
 
     def test_country_mode_splits_by_distinct_country(self, mixed_corpus):
-        table = fractional_count(mixed_corpus, FractionalMode.COUNTRY)
+        table = fractional_count(mixed_corpus, CountMethod.FRACTIONAL_COUNTRY)
         expected = oracle_fractional_country(mixed_corpus)
         for country, share in expected.items():
             assert table.scores[country] == pytest.approx(float(share), abs=1e-12)
@@ -102,12 +104,20 @@ class TestFractionalCount:
         assert table.scores == {"CN": 1.0}
 
     def test_all_unresolved_record_credits_zz_fully(self):
-        for mode in FractionalMode:
-            table = fractional_count(Corpus((rec("p", [], []),)), mode)
+        for method in FRACTIONAL:
+            table = fractional_count(Corpus((rec("p", [], []),)), method)
             assert table.scores == {UNRESOLVED: 1.0}
 
     def test_score_lookup_defaults_to_zero(self, mixed_corpus):
         assert fractional_count(mixed_corpus).score("XX") == 0.0
+
+    def test_whole_method_is_refused(self, mixed_corpus):
+        with pytest.raises(ValueError, match="not a fractional counting method"):
+            fractional_count(mixed_corpus, CountMethod.WHOLE)
+
+    def test_fractional_mode_members_are_the_fractional_methods(self):
+        assert FractionalMode.AUTHOR is CountMethod.FRACTIONAL_AUTHOR
+        assert FractionalMode.COUNTRY is CountMethod.FRACTIONAL_COUNTRY
 
 
 class TestSubjectGroups:
@@ -173,8 +183,8 @@ def corpora(draw, max_records: int = 24) -> Corpus:
 @settings(max_examples=60, deadline=None)
 @given(corpora())
 def test_fractional_mass_is_conserved(corpus):
-    for mode in FractionalMode:
-        table = fractional_count(corpus, mode)
+    for method in FRACTIONAL:
+        table = fractional_count(corpus, method)
         assert table.total() == pytest.approx(len(corpus), abs=1e-9)
 
 
@@ -182,8 +192,8 @@ def test_fractional_mass_is_conserved(corpus):
 @given(corpora())
 def test_fractional_never_exceeds_whole(corpus):
     wc = whole_count(corpus)
-    for mode in FractionalMode:
-        fc = fractional_count(corpus, mode)
+    for method in FRACTIONAL:
+        fc = fractional_count(corpus, method)
         for country, share in fc.scores.items():
             assert share <= wc.scores[country]
 
@@ -206,10 +216,10 @@ def test_scores_invariant_under_permutation(corpus, rng):
         )
     )
     assert whole_count(shuffled).scores == whole_count(corpus).scores
-    for mode in FractionalMode:
+    for method in FRACTIONAL:
         assert (
-            fractional_count(shuffled, mode).scores
-            == fractional_count(corpus, mode).scores
+            fractional_count(shuffled, method).scores
+            == fractional_count(corpus, method).scores
         )
 
 
@@ -234,11 +244,8 @@ def test_counts_match_oracles_on_random_corpora(seed):
     assert whole_count(corpus).scores == {
         c: float(v) for c, v in oracle_whole(corpus).items()
     }
-    for mode, oracle in (
-        (FractionalMode.AUTHOR, oracle_fractional_author),
-        (FractionalMode.COUNTRY, oracle_fractional_country),
-    ):
-        table = fractional_count(corpus, mode)
+    for method, oracle in zip(FRACTIONAL, (oracle_fractional_author, oracle_fractional_country)):
+        table = fractional_count(corpus, method)
         expected = oracle(corpus)
         assert set(table.scores) == set(expected)
         for country, share in expected.items():
@@ -419,9 +426,9 @@ class TestSweepMatchesFrozenPasses:
         _assert_same_table(
             whole_count(corpus), oracle_count(corpus, CountMethod.WHOLE, ALL_FIELDS)
         )
-        for mode in FractionalMode:
+        for method in FRACTIONAL:
             _assert_same_table(
-                fractional_count(corpus, mode), oracle_count(corpus, mode.method, ALL_FIELDS)
+                fractional_count(corpus, method), oracle_count(corpus, method, ALL_FIELDS)
             )
         _assert_same_table(icp_count(corpus), oracle_icp_count(corpus))
 
@@ -455,11 +462,11 @@ class TestSweepMatchesFrozenPasses:
         assert all(len(subjects) > 1 for subjects in subjects_by_tuple.values())
 
     @pytest.mark.parametrize("name", SWEEP_CORPORA)
-    @pytest.mark.parametrize("mode", list(FractionalMode))
-    def test_country_metrics(self, name, mode):
+    @pytest.mark.parametrize("method", FRACTIONAL)
+    def test_country_metrics(self, name, method):
         corpus = SWEEP_CORPORA[name]
         wc = oracle_count(corpus, CountMethod.WHOLE, ALL_FIELDS)
-        fc = oracle_count(corpus, mode.method, ALL_FIELDS)
+        fc = oracle_count(corpus, method, ALL_FIELDS)
         icp = oracle_icp_count(corpus)
         aggregates = [
             CountryAggregate(c, wc.score(c), fc.score(c), int(icp.score(c)))
@@ -467,7 +474,7 @@ class TestSweepMatchesFrozenPasses:
             if fc.score(c) > 0
         ]
         expected = sorted(derive_metrics(aggregates), key=lambda m: (-m.wc, m.country))
-        new = country_metrics(corpus, mode=mode)
+        new = country_metrics(corpus, method=method)
         assert new == expected
         assert repr(new) == repr(expected)
 
