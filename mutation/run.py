@@ -261,6 +261,12 @@ MUTANTS = (
         IO_TESTS,
     ),
     Mutant(
+        "ingest: quote a raw value whole in a message",
+        INGEST,
+        (("    if len(text) <= _QUOTE_CHARS:\n", "    if True:\n"),),
+        IO_TESTS,
+    ),
+    Mutant(
         "synth: collect the records before writing",
         SYNTH,
         (
@@ -330,6 +336,18 @@ MUTANTS = (
         "bibrank/counting.py",
         (("    return len(countries) >= 2\n", "    return len(countries) >= 1\n"),),
         COUNTING_TESTS + ("tests/test_collaboration.py",),
+    ),
+    Mutant(
+        "counting: fractional_count accepts WHOLE",
+        "bibrank/counting.py",
+        (("[_fractional(method)], [ALL_FIELDS]", "[method], [ALL_FIELDS]"),),
+        COUNTING_TESTS,
+    ),
+    Mutant(
+        "collaboration: country_metrics accepts WHOLE",
+        "bibrank/collaboration.py",
+        (("    methods = [CountMethod.WHOLE, _fractional(method), _ICP]\n", "    methods = [CountMethod.WHOLE, method, _ICP]\n"),),
+        ("tests/test_collaboration.py",),
     ),
     Mutant(
         "collaboration: drop the fc <= wc check in reduction_pct",

@@ -1,20 +1,21 @@
 """Country-level publication counting.
 
-Two families of methods:
+One method type, :class:`CountMethod`, names three methods:
 
-* whole counting: every country appearing on a record receives one full
+* ``WHOLE``: every country appearing on a record receives one full
   credit, so multinational records are credited multiple times and column
   sums exceed the number of records.
-* fractional counting: each record distributes exactly one unit of credit.
-  In author mode the unit is split equally over the n authors and each
-  author's share is split equally over that author's k countries, giving
-  1/(n*k) per country per author. In country mode the unit is split
-  equally over the record's distinct countries.
+* ``FRACTIONAL_AUTHOR`` and ``FRACTIONAL_COUNTRY``: each record distributes
+  exactly one unit of credit. By author, the unit is split equally over the
+  n authors and each author's share equally over that author's k
+  countries, giving 1/(n*k) per country per author. By country, the unit
+  is split equally over the record's distinct countries.
+  ``FractionalMode`` is a deprecated alias of these two members.
 
 Authors with no resolvable country are credited to the ``ZZ`` bucket: a
-full +1 under whole counting, and their 1/n share under author-mode
-fractional counting. A record whose authors are all unresolved contributes
-its whole unit to ``ZZ`` in both fractional modes.
+full +1 under whole counting, and their 1/n share under fractional-author
+counting. A record whose authors are all unresolved contributes its whole
+unit to ``ZZ`` under both fractional methods.
 
 Per-record fractional shares are computed in integer arithmetic over a
 common denominator (n times the lcm of the authors' country counts) and

@@ -102,6 +102,24 @@ DEFAULT_DOC_TYPES = frozenset(
 
 _WIRE_DOC_TYPES = {d.value: d for d in DocType}
 
+# a message quotes at most this many characters of a raw value
+_QUOTE_CHARS = 80
+
+
+def _quote(raw: Any) -> str:
+    """``repr(raw)``, or past ``_QUOTE_CHARS`` characters its head, ``…`` and its length.
+
+    A string counts its own characters and keeps its quotes; any other value
+    counts those of its repr.
+    """
+    text = raw if isinstance(raw, str) else repr(raw)
+    if len(text) <= _QUOTE_CHARS:
+        return repr(raw)
+    head = text[:_QUOTE_CHARS] + "…"
+    if isinstance(raw, str):
+        head = repr(head)
+    return f"{head} ({len(text):,} characters)"
+
 
 @dataclass
 class ValidationReport(object):
@@ -136,7 +154,7 @@ def _csv_rows(
             raise SchemaError("empty input: expected a CSV header row")
         if [h.strip() for h in header] != expected_header:
             raise SchemaError(
-                f"bad CSV header {header!r}; expected {','.join(expected_header)}"
+                f"bad CSV header {_quote(header)}; expected {','.join(expected_header)}"
             )
         rownum = 1
         for rownum, row in enumerate(reader, start=2):
@@ -221,10 +239,10 @@ def _take_doc_type(raw: Any) -> tuple[DocType, tuple[str, ...]]:
     if raw is None or raw == "":
         return DocType.OTHER, ("missing doc_type; treated as 'other'",)
     if not isinstance(raw, str):
-        return DocType.OTHER, (f"doc_type {raw!r} is not a string; treated as 'other'",)
+        return DocType.OTHER, (f"doc_type {_quote(raw)} is not a string; treated as 'other'",)
     dt = _WIRE_DOC_TYPES.get(raw.strip().lower())
     if dt is None:
-        return DocType.OTHER, (f"unknown doc_type {raw!r}; treated as 'other'",)
+        return DocType.OTHER, (f"unknown doc_type {_quote(raw)}; treated as 'other'",)
     return dt, ()
 
 
@@ -234,7 +252,7 @@ def _take_year(raw: Any, rec_id: str, batch: _Batch) -> int | None:
     if raw is None:
         batch.report.warnings.append((rec_id, "missing year; defaulting to 0"))
         return 0
-    batch.reject(rec_id, f"year {raw!r} is not an integer")
+    batch.reject(rec_id, f"year {_quote(raw)} is not an integer")
     return None
 
 
@@ -264,7 +282,7 @@ def _author(refs: dict[frozenset[str], AuthorRef], raw: tuple[str, ...]) -> _Slo
     for code in raw:
         norm = normalize_country(code)
         if norm != UNRESOLVED and not is_country_code(norm):
-            warnings.append(f"country {code!r} is not a recognized name or two-letter code")
+            warnings.append(f"country {_quote(code)} is not a recognized name or two-letter code")
     author = AuthorRef.from_raw(raw)
     author = refs.setdefault(author.countries, author)
     if author.unresolved:
@@ -628,12 +646,12 @@ def _check_clean(value: str, what: str, reserved: str) -> str:
     for ch in reserved:
         if ch in value:
             raise ValueError(
-                f"{what} {value!r} contains reserved delimiter {ch!r}; "
+                f"{what} {_quote(value)} contains reserved delimiter {ch!r}; "
                 "cannot be serialized losslessly"
             )
     if not value.isascii() and (surrogate := _SURROGATE.search(value)):
         raise ValueError(
-            f"{what} {value!r} contains lone surrogate {surrogate[0]!r}; UTF-8 cannot encode it"
+            f"{what} {_quote(value)} contains lone surrogate {surrogate[0]!r}; UTF-8 cannot encode it"
         )
     return value
 

@@ -212,9 +212,9 @@ _ORACLE_DOC_TYPES = {d.value: d for d in DocType}
 
 
 def _oracle_lines(source):
-    if isinstance(source, str):
-        return source.splitlines()
-    return [line.rstrip("\n").rstrip("\r") for line in source]
+    # a text splits on "\n" only, as the library splits it
+    lines = source.split("\n") if isinstance(source, str) else source
+    return [line.rstrip("\n").rstrip("\r") for line in lines]
 
 
 def _oracle_doc_type(raw, ref, report):
@@ -256,8 +256,7 @@ def oracle_parse_jsonl(source, *, scheme=None, provenance="jsonl"):
     records = []
     seen_ids = set()
 
-    lines = source.split("\n") if isinstance(source, str) else source
-    for lineno, line in enumerate(_oracle_lines(lines), start=1):
+    for lineno, line in enumerate(_oracle_lines(source), start=1):
         if not line.strip():
             continue
         ref = f"line {lineno}"
@@ -344,7 +343,8 @@ def oracle_parse_csv(source, *, scheme=None, provenance="csv"):
     records = []
     seen_ids = set()
 
-    reader = csv.reader(_oracle_lines(source))
+    # csv.reader reads the line endings, so a quoted cell keeps its newlines
+    reader = csv.reader(io.StringIO(source, newline="") if isinstance(source, str) else source)
     try:
         header = next(reader)
     except StopIteration:

@@ -297,6 +297,22 @@ class TestIngest:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: line 2: {message}\n")
 
+    def test_report_quotes_at_most_80_characters_of_a_raw_value(self, capsys, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text(
+            "id,year,doc_type,subjects,author_countries\n"
+            f"g1,2016,article,PHYS,US\nh,{'x' * 5000},article,PHYS,US\nw,2016,{'d' * 5000},PHYS,US\n",
+            encoding="utf-8",
+        )
+        year = f"year '{'x' * 80}…' (5,000 characters) is not an integer"
+        doc_type = f"unknown doc_type '{'d' * 80}…' (5,000 characters); treated as 'other'"
+        code, out, err = invoke(capsys, "ingest", "--input", str(path))
+        assert code == 1
+        assert out == (
+            f'severity,record,message\nerror,h,"{year}"\nwarning,w,"{doc_type}"\n'
+        )
+        assert err == f"error: h: {year}\naccepted 2, rejected 1, 1 error(s), 1 warning(s)\n"
+
     def test_unreadable_csv_field_exits_without_traceback(self, capsys, tmp_path):
         path = tmp_path / "wide.csv"
         path.write_text(

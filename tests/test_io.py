@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 import random
 import sys
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from bibrank.errors import SchemaError
 from bibrank.ingest import (
     _CHUNK_LINES,
+    _QUOTE_CHARS,
     DEFAULT_DOC_TYPES,
     _split_lines,
     apply_filter,
@@ -727,7 +729,7 @@ class TestRejectsNamedByPosition:
     @pytest.mark.parametrize("as_file", [False, True], ids=["text", "lines"])
     def test_csv_rows_are_counted_not_lines(self, newline, as_file):
         # each quoted subjects cell holds a newline, so the rows after it
-        # start on later lines than their numbers say
+        # start on later lines than their numbers say; the last id holds one too
         lines = [
             "id,year,doc_type,subjects,author_countries",
             'q1,2016,article,"PHYS',
@@ -741,8 +743,10 @@ class TestRejectsNamedByPosition:
             'BIO",US',
             '"  ",2016,article,PHYS,US',
             "q1,2016,article,PHYS,US",
+            '"q\r\n1",2016,article,PHYS,US',
         ]
-        source = [line + newline for line in lines] if as_file else newline.join(lines)
+        text = newline.join(lines)
+        source = list(io.StringIO(text + newline, newline="")) if as_file else text
         corpus, report = parse_csv(source)
         assert report.errors == [
             ("row 3", "expected 5 columns, got 3"),
@@ -750,12 +754,9 @@ class TestRejectsNamedByPosition:
             ("row 8", "missing or empty id"),
             ("q1", "duplicate record id; first occurrence kept"),
         ]
-        assert [r.id for r in corpus.records] == ["q1", "q2", "q3"]
-        # the reference parser reads lines without their endings, so it drops
-        # the newline inside a quoted cell; its report and ids still agree
-        ref_corpus, ref_report = oracle_parse_csv(source)
-        assert [r.id for r in ref_corpus.records] == ["q1", "q2", "q3"]
-        assert report == ref_report
+        assert [r.id for r in corpus.records] == ["q1", "q2", "q3", "q\r\n1"]
+        assert corpus.records[0].subjects == {f"PHYS{newline}CHEM"}
+        assert_same_parse((corpus, report), oracle_parse_csv(source))
 
 
 # lines the json module refuses for their depth or an integer's length, not
@@ -801,8 +802,64 @@ class TestHostileLines:
             "id,year,doc_type,subjects,author_countries\n"
             f"g1,2016,article,PHYS,US\nh,{year},article,PHYS,US\ng3,2016,article,PHYS,US\n"
         )
-        assert report.errors == [("h", f"year {year!r} is not an integer")]
+        assert report.errors == [("h", f"year '{'9' * 80}…' (5,000 characters) is not an integer")]
         assert [r.id for r in corpus.records] == ["g1", "g3"]
+
+
+class TestQuotedValuesAreBounded:
+    """A message quotes at most 80 characters of a raw value, then its length."""
+
+    def test_the_bound(self):
+        assert _QUOTE_CHARS == 80
+
+    def test_a_value_of_80_characters_is_quoted_whole(self):
+        doc_type = "d" * 80
+        _, report = parse_jsonl(_row("p", doc_type=doc_type))
+        assert report.warnings == [("p", f"unknown doc_type {doc_type!r}; treated as 'other'")]
+
+    def test_jsonl_values(self):
+        ones, quoted = "[" + "1, " * 26 + "1…", "it's"
+        lines = [
+            _row("a", doc_type="d" * 81),
+            _row("b", doc_type=[1] * 40),
+            _row("c", year="y" * 5000),
+            _row("d", authors=[{"countries": ["c" * 300]}]),
+            _row("e", doc_type=quoted * 30),
+        ]
+        _, report = parse_jsonl("\n".join(lines))
+        assert report.errors == [("c", f"year '{'y' * 80}…' (5,000 characters) is not an integer")]
+        assert report.warnings == [
+            ("a", f"unknown doc_type '{'d' * 80}…' (81 characters); treated as 'other'"),
+            ("b", f"doc_type {ones} (120 characters) is not a string; treated as 'other'"),
+            ("d", f"country '{'c' * 80}…' (300 characters) is not a recognized name or two-letter code"),
+            ("e", f"unknown doc_type \"{quoted * 20}…\" (120 characters); treated as 'other'"),
+        ]
+
+    def test_csv_header(self):
+        header = "id,year,doc_type,subjects," + "a" * 100
+        with pytest.raises(SchemaError) as info:
+            parse_csv(header + "\n")
+        cut = "['id', 'year', 'doc_type', 'subjects', '" + "a" * 40 + "…"
+        assert str(info.value) == (
+            f"bad CSV header {cut} (142 characters); "
+            "expected id,year,doc_type,subjects,author_countries"
+        )
+
+    def test_writer_refusals(self):
+        code = "s;" + "s" * 98
+        with pytest.raises(ValueError) as info:
+            to_csv(Corpus((rec("p", ["US"], subjects=[code]),)))
+        assert str(info.value) == (
+            f"subject code 's;{'s' * 78}…' (100 characters) contains reserved delimiter ';'; "
+            "cannot be serialized losslessly"
+        )
+        rec_id = "r" * 99 + "\ud800"
+        with pytest.raises(ValueError) as info:
+            to_csv(Corpus((rec(rec_id, ["US"]),)))
+        assert str(info.value) == (
+            f"record id '{'r' * 80}…' (100 characters) contains lone surrogate '\\ud800'; "
+            "UTF-8 cannot encode it"
+        )
 
 
 class TestInterning:
