@@ -10,7 +10,6 @@ One method type, :class:`CountMethod`, names three methods:
   n authors and each author's share equally over that author's k
   countries, giving 1/(n*k) per country per author. By country, the unit
   is split equally over the record's distinct countries.
-  ``FractionalMode`` is a deprecated alias of these two members.
 
 Authors with no resolvable country are credited to the ``ZZ`` bucket: a
 full +1 under whole counting, and their 1/n share under fractional-author
