@@ -180,7 +180,25 @@ MUTANTS = (
     Mutant(
         "ingest: drop the duplicate-id reject",
         INGEST,
-        (("    if rec_id in batch.records:\n", "    if False:\n"),),
+        (("    if rec_id in batch.by_id:\n", "    if False:\n"),),
+        IO_TESTS,
+    ),
+    Mutant(
+        "ingest: the order check accepts an equal id",
+        INGEST,
+        (("        if rec_id > batch.last_id:\n", "        if rec_id >= batch.last_id:\n"),),
+        IO_TESTS,
+    ),
+    Mutant(
+        "ingest: the batch never switches to the dict",
+        INGEST,
+        (
+            (
+                "        batch.by_id = {record.id: record for record in batch.records}\n"
+                "        batch.records.clear()\n",
+                "        return rec_id\n",
+            ),
+        ),
         IO_TESTS,
     ),
     Mutant(
@@ -434,6 +452,12 @@ MUTANTS = (
         "replication: the standard denominator in published_srcc_variant",
         "bibrank/replication.py",
         (("(n * n * (n - 1))", "(n * (n * n - 1))"),),
+        ("tests/test_replication.py",),
+    ),
+    Mutant(
+        "replication: _read_asset skips its checksum compare",
+        "bibrank/replication.py",
+        (("    if digest != expected:\n", "    if False:\n"),),
         ("tests/test_replication.py",),
     ),
 )

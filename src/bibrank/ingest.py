@@ -187,9 +187,15 @@ class _Slot(object):
 class _Batch(object):
     """State of one parse call: report, accepted records and interning memos.
 
-    ``records`` maps each accepted id to its record, in acceptance order.
-    A reject given no id names the ``unit`` and ``number`` of the line or
-    row that the parse loop is reading.
+    ``records`` lists the accepted records in acceptance order while each
+    accepted id is greater than the one before: a new id greater than
+    ``last_id``, the last one accepted, is no repeat, so no table of ids is
+    needed. The first new id that is not greater moves the records into
+    ``by_id``, a dict from each accepted id to its record in acceptance
+    order, in which that id and every later one is looked up. A rejected
+    record's id is neither ``last_id`` nor a key. A reject given no id
+    names the ``unit`` and ``number`` of the line or row that the parse
+    loop is reading.
 
     Each parse creates its own batch and drops it on return, so no two
     parses share a memo. Interned values are immutable, so sharing one
@@ -200,7 +206,9 @@ class _Batch(object):
         self.report = ValidationReport()
         self.unit = unit
         self.number = 0
-        self.records: dict[str, PublicationRecord] = {}
+        self.records: list[PublicationRecord] = []
+        self.last_id = ""
+        self.by_id: dict[str, PublicationRecord] | None = None
         # raw author country tuple -> its slot
         self.authors: dict[tuple[str, ...], _Slot] = {}
         # normalized country set -> the one AuthorRef that carries it
@@ -226,9 +234,10 @@ class _Batch(object):
     def finish(
         self, scheme: SubjectScheme | None, provenance: str
     ) -> tuple[Corpus, ValidationReport]:
-        records = tuple(self.records.values())
-        # the id-keyed dict goes before the corpus checks the ids again
+        records = tuple(self.records if self.by_id is None else self.by_id.values())
+        # the list or dict goes before the corpus checks the ids again
         self.records.clear()
+        self.by_id = None
         return Corpus(records, scheme or EMPTY_SCHEME, provenance), self.report
 
 
@@ -362,7 +371,12 @@ def _take_record(
     report = batch.report
     for message in warnings + taken[1]:
         report.warnings.append((rec_id, message))
-    batch.records[rec_id] = PublicationRecord(rec_id, year, doc_type, subjects, taken[0])
+    record = PublicationRecord(rec_id, year, doc_type, subjects, taken[0])
+    if batch.by_id is None:
+        batch.records.append(record)
+        batch.last_id = rec_id
+    else:
+        batch.by_id[rec_id] = record
     report.records_accepted += 1
     return taken
 
@@ -373,7 +387,13 @@ def _take_id(raw: Any, batch: _Batch) -> str | None:
         batch.reject(None, "missing or empty id")
         return None
     rec_id = raw.strip()
-    if rec_id in batch.records:
+    if batch.by_id is None:
+        if rec_id > batch.last_id:
+            return rec_id
+        # the first id out of order: look ids up in a dict from here on
+        batch.by_id = {record.id: record for record in batch.records}
+        batch.records.clear()
+    if rec_id in batch.by_id:
         batch.reject(rec_id, "duplicate record id; first occurrence kept")
         return None
     return rec_id

@@ -24,7 +24,6 @@ returned as named outliers, never dropped.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -41,8 +40,9 @@ from .ingest import (
 )
 from .rankstats import CorrelationMatrix, _pairwise_matrix, pearson, spearman
 
-# numpy is imported inside the functions that use it: importing it takes
-# longer than importing the rest of bibrank, and most commands never need it
+# numpy and hashlib are imported inside the functions that use them:
+# importing numpy takes longer than importing the rest of bibrank, hashlib
+# loads libcrypto, and most commands never need either
 if TYPE_CHECKING:
     import numpy as np
 
@@ -128,6 +128,8 @@ class FixtureSet(object):
 
 
 def _read_asset(name: str) -> str:
+    import hashlib
+
     data = resources.files("bibrank").joinpath("data", name).read_bytes()
     digest = hashlib.sha256(data).hexdigest()
     expected = FIXTURE_CHECKSUMS[name]

@@ -882,6 +882,29 @@ class TestProcessState:
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "False"
 
+    def test_libcrypto_and_numpy_stay_unloaded(self, tmp_path, mixed_corpus):
+        # only replicate checks checksums, so only it loads hashlib's
+        # libcrypto; a subprocess, since this one has loaded both already
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(to_jsonl(mixed_corpus), encoding="utf-8")
+        script = (
+            "import sys\n"
+            "from bibrank.cli import run\n"
+            "for cmd in ('count', 'collab', 'rank', 'subjects', 'ingest'):\n"
+            f"    assert run([cmd, '--input', {str(path)!r}]) == 0, cmd\n"
+            "print('_hashlib' in sys.modules, 'numpy' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(bibrank.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False False"
+
     @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
     @pytest.mark.parametrize("bad_header", [False, True], ids=["clean", "bad-csv-header"])
     def test_collector_state_is_restored(self, capsys, tmp_path, mixed_corpus, enabled, bad_header):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import io
 import json
 import random
@@ -513,6 +514,31 @@ def csv_row_streams(draw):
     return draw(st.permutations(rows))
 
 
+def _jsonl_line_id(line: str) -> str:
+    """The stripped id of a grid line's record, or "" when it has none."""
+    try:
+        obj = json.loads(line.lstrip("\ufeff"))
+    except ValueError:
+        return ""
+    rec_id = obj.get("id") if isinstance(obj, dict) else None
+    return rec_id.strip() if isinstance(rec_id, str) else ""
+
+
+def _csv_row_id(row: str) -> str:
+    """The stripped id cell of a grid row, or "" when it has none."""
+    return (next(csv.reader([row])) or [""])[0].strip()
+
+
+def _in_order(grid: list[str], order: int | str, line_id) -> list[str]:
+    """The grid shuffled by the seed ``order``, or for "by-id" sorted by
+    ``line_id``, which puts each repeated id beside its first occurrence."""
+    if order == "by-id":
+        return sorted(grid, key=line_id)
+    lines = grid[:]
+    random.Random(order).shuffle(lines)
+    return lines
+
+
 def assert_same_parse(ours, reference):
     (corpus, report), (ref_corpus, ref_report) = ours, reference
     assert corpus == ref_corpus
@@ -527,11 +553,10 @@ class TestReferenceParserEquivalence:
     def test_jsonl_row(self, line):
         assert_same_parse(parse_jsonl(line), oracle_parse_jsonl(line))
 
-    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("order", [*range(5), "by-id"])
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
-    def test_jsonl_stream(self, seed, newline):
-        lines = JSONL_GRID[:]
-        random.Random(seed).shuffle(lines)
+    def test_jsonl_stream(self, order, newline):
+        lines = _in_order(JSONL_GRID, order, _jsonl_line_id)
         text = newline.join(lines)
         assert_same_parse(parse_jsonl(text), oracle_parse_jsonl(text))
         as_file = [line + newline for line in lines]
@@ -546,13 +571,23 @@ class TestReferenceParserEquivalence:
     @pytest.mark.parametrize("after", SPLIT_GRID)
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
     def test_jsonl_compact_line_repeated_under_fresh_ids(self, after, newline):
-        ids = ["r1", "r2", "r1", " ", "r3", "r\\u0034", "\x01"]
-        lines = ['{"id":"' + rec_id + '"' + after for rec_id in ids]
-        # then the same lines under new ids
-        text = newline.join(lines + [line.replace('"r', '"s', 1) for line in lines])
-        assert_same_parse(parse_jsonl(text), oracle_parse_jsonl(text))
-        as_file = [line + newline for line in text.split(newline)]
-        assert_same_parse(parse_jsonl(as_file), oracle_parse_jsonl(as_file))
+        for ids in (
+            ["r1", "r2", "r1", " ", "r3", "r\\u0034", "\x01"],
+            # the first rc is rejected for its empty authors, so it is not
+            # seen: the second rc, after ids in order again, is accepted
+            ["ra", ("rc", ',"year":2016,"authors":[]}'), "rb", "rc"],
+            # in order until a repeat that is not beside its first occurrence
+            ["ra", "rb", "rc", "ra"],
+        ):
+            lines = [
+                '{"id":"' + rec_id + '"' + own_after
+                for rec_id, own_after in (i if isinstance(i, tuple) else (i, after) for i in ids)
+            ]
+            # then the same lines under new ids
+            text = newline.join(lines + [line.replace('"r', '"s', 1) for line in lines])
+            assert_same_parse(parse_jsonl(text), oracle_parse_jsonl(text))
+            as_file = [line + newline for line in text.split(newline)]
+            assert_same_parse(parse_jsonl(as_file), oracle_parse_jsonl(as_file))
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
     def test_jsonl_compact_grid_twice_in_one_stream(self, newline):
@@ -566,11 +601,10 @@ class TestReferenceParserEquivalence:
         text = "id,year,doc_type,subjects,author_countries\n" + row
         assert_same_parse(parse_csv(text), oracle_parse_csv(text))
 
-    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("order", [*range(5), "by-id"])
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
-    def test_csv_stream(self, seed, newline):
-        rows = CSV_GRID[:]
-        random.Random(seed).shuffle(rows)
+    def test_csv_stream(self, order, newline):
+        rows = _in_order(CSV_GRID, order, _csv_row_id)
         lines = ["id,year,doc_type,subjects,author_countries", *rows]
         text = newline.join(lines)
         assert_same_parse(parse_csv(text), oracle_parse_csv(text))
@@ -1223,6 +1257,20 @@ class TestParseMemory:
             tracemalloc.stop()
         assert len(corpus) == len(synth_20k)
         assert peak <= 240 * len(synth_20k)
+
+    def test_transient_peak_per_record_with_ids_in_order(self, synth_20k):
+        # ids in order need no id table: above what the parse keeps, its
+        # peak holds the record list and the corpus's tuple, about 23 B a
+        # record, where an id-keyed dict took 35
+        text = to_jsonl(synth_20k)
+        tracemalloc.start()
+        try:
+            corpus, _ = parse_jsonl(text)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [r.id for r in corpus] == sorted(r.id for r in synth_20k)
+        assert peak - retained <= 28 * len(synth_20k)
 
 
 class TestApplyFilter:
