@@ -350,6 +350,34 @@ MUTANTS = (
         COUNTING_TESTS,
     ),
     Mutant(
+        "counting: the count path credits 1 per kind, not per record",
+        "bibrank/counting.py",
+        (
+            (
+                "records_of = [Counter(map(union_of.__getitem__, seq)) for seq in kinds]",
+                "records_of = [Counter(map(union_of.__getitem__, set(seq))) for seq in kinds]",
+            ),
+        ),
+        COUNTING_TESTS,
+    ),
+    Mutant(
+        "counting: fractional-country goes through the count path",
+        "bibrank/counting.py",
+        (
+            (
+                "        unit = m is CountMethod.WHOLE or m == _ICP\n",
+                "        unit = m is not CountMethod.FRACTIONAL_AUTHOR\n",
+            ),
+        ),
+        COUNTING_TESTS,
+    ),
+    Mutant(
+        "counting: a record's kind goes to every group's list",
+        "bibrank/counting.py",
+        (("                if codes is None or not codes.isdisjoint(subjects)\n", "                if True\n"),),
+        COUNTING_TESTS,
+    ),
+    Mutant(
         "counting: one country makes a record international",
         "bibrank/counting.py",
         (("    return len(countries) >= 2\n", "    return len(countries) >= 1\n"),),

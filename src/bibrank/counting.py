@@ -22,24 +22,32 @@ divided exactly once per country, so a single-country record contributes
 exactly 1.0 to that country and accumulation order cannot leak rounding
 differences. Every count is one sweep over the records in record-id order,
 which makes every score bit-identical under permutation of the input. One
-sweep counts every requested method, icp included, and adds each record's
-shares once to every requested table it belongs to (``ALL`` and any
-subject groups); unknown group names raise before any record is counted.
+sweep counts every requested method, icp included, for every requested
+table (``ALL`` and any subject groups); unknown group names raise before
+any record is counted.
 
-Each sweep memoizes shares and drops every memo on return. A record is
-looked up by the identity of its ``authors`` tuple, which ingest and
-``generate`` share between records with the same author list; a record
-whose tuple is new to the sweep is priced afresh, so a hand-built corpus
-that shares none is counted the same, only slower. A new tuple computes its
-fractional-author shares from its authors' country sets and looks up the
-other methods' by its country union and whether any author is unresolved.
-Group membership is memoized per subject set, so subjects must be hashable,
-as the frozenset that ``PublicationRecord`` declares is.
+A sweep has two phases and drops everything it built on return. The walk
+gives each record a kind, the index of its ``authors`` tuple by identity
+(ingest and ``generate`` share one tuple between records with the same
+author list), and appends that kind to the list of every group the record
+belongs to. A kind is priced at its first record: its fractional-author
+shares from its authors' country sets, the other methods' by its country
+union and whether any author is unresolved. A hand-built corpus that
+shares no tuple is counted the same, with one kind per record. Group
+membership is memoized per subject set, so subjects must be hashable, as
+the frozenset that ``PublicationRecord`` declares is. The credit phase then
+fills each table from its group's list. Whole and icp shares are all
+exactly 1.0, so a table counts its records per country union in integers,
+adds each union's count to its countries, and gives a country credited by
+n records float(n): below 2**53 a sum of n 1.0s is exact in any order, so
+it is the same float. Fractional shares are added once per record, in id
+order, as the sequential sum adds them.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 from math import lcm
 from typing import Mapping
@@ -135,51 +143,75 @@ def _union_shares(union: frozenset[str], unresolved: bool, method: object) -> _S
 def _sweep(
     corpus: Corpus, methods: list[object], groups: list[str]
 ) -> dict[object, dict[str, ScoreTable]]:
-    """Count each of ``methods`` (``_ICP`` too) for each group in one id-ordered pass."""
+    """Count each of ``methods`` (``_ICP`` too) for each group: one id-ordered
+    walk that lists each group's kinds, then each table credited from its list."""
     names = list(dict.fromkeys(groups))
     codes_of = [None if g == ALL_FIELDS else corpus.scheme.group(g) for g in names]
     methods = list(dict.fromkeys(methods))
-    scores: list[list[dict[str, float]]] = [[{} for _ in methods] for _ in names]
-    counted = [0] * len(names)
-    by_tuple: dict[int, list[_Shares]] = {}
+    # walk: a kind is a distinct authors tuple, priced at its first record,
+    # and each group lists its records' kinds in id order
+    kind_of: dict[int, int] = {}
+    author_shares: list[_Shares] = []
+    union_of: list[int] = []
     # every method but fractional-author credits by the country union and
     # whether an author is unresolved, which far fewer author lists differ in
-    by_union: dict[tuple[frozenset[str], bool], list[_Shares | None]] = {}
+    by_union: dict[tuple[frozenset[str], bool], int] = {}
+    per_union: list[list[_Shares | None]] = []
+    needs_author = CountMethod.FRACTIONAL_AUTHOR in methods
     needs_union = methods != [CountMethod.FRACTIONAL_AUTHOR]
-    by_subjects: dict[frozenset[str], list[int]] = {}
+    kinds: list[list[int]] = [[] for _ in names]
+    by_subjects: dict[frozenset[str], list[list[int]]] = {}
     for record in corpus._by_id:
         authors, subjects = record.authors, record.subjects
-        shares = by_tuple.get(id(authors))
-        if shares is None:
+        kind = kind_of.get(id(authors))
+        if kind is None:
+            kind = kind_of[id(authors)] = len(kind_of)
             pattern = tuple([a.countries for a in authors])
-            per_union: list[_Shares | None] | None = [None]
+            if needs_author:
+                author_shares.append(_fractional_author_shares(pattern))
             if needs_union:
                 key = countries_of(record), not all(pattern)
-                per_union = by_union.get(key)
-                if per_union is None:
-                    per_union = by_union[key] = [_union_shares(*key, m) for m in methods]
-            shares = by_tuple[id(authors)] = [
-                _fractional_author_shares(pattern) if s is None else s for s in per_union
-            ]
+                u = by_union.get(key)
+                if u is None:
+                    u = by_union[key] = len(per_union)
+                    per_union.append([_union_shares(*key, m) for m in methods])
+                union_of.append(u)
         members = by_subjects.get(subjects)
         if members is None:
             members = by_subjects[subjects] = [
-                i for i, codes in enumerate(codes_of)
+                seq for seq, codes in zip(kinds, codes_of)
                 if codes is None or not codes.isdisjoint(subjects)
             ]
-        # one addend per country per record and table: the order within it is moot
-        for i in members:
-            counted[i] += 1
-            for table, pairs in zip(scores[i], shares):
-                for country, share in pairs.items():
-                    table[country] = table.get(country, 0.0) + share
-    return {
-        m: {
-            g: ScoreTable(CountMethod.WHOLE if m == _ICP else m, g, dict(sorted(t.items())), n)
-            for g, t, n in zip(names, (row[j] for row in scores), counted)
-        }
-        for j, m in enumerate(methods)
-    }
+        for seq in members:
+            seq.append(kind)
+    # credit: a whole or icp share is 1.0, so a country credited by n records
+    # scores float(n), exactly the sum of n sequential 1.0s; a fractional
+    # share is added once per record, in id order
+    out: dict[object, dict[str, ScoreTable]] = {}
+    records_of: list[Counter[int]] = []  # per group, its records per union
+    for j, m in enumerate(methods):
+        unit = m is CountMethod.WHOLE or m == _ICP
+        if unit and not records_of:
+            records_of = [Counter(map(union_of.__getitem__, seq)) for seq in kinds]
+        of_kind = author_shares
+        if m is CountMethod.FRACTIONAL_COUNTRY:
+            of_kind = [per_union[u][j] for u in union_of]
+        tables = out[m] = {}
+        for i, seq in enumerate(kinds):
+            scores: dict[str, float] = {}
+            if unit:
+                units: dict[str, int] = {}
+                for u, n in records_of[i].items():
+                    for country in per_union[u][j]:
+                        units[country] = units.get(country, 0) + n
+                scores = {c: float(n) for c, n in units.items()}
+            else:
+                for kind in seq:
+                    for country, share in of_kind[kind].items():
+                        scores[country] = scores.get(country, 0.0) + share
+            method = CountMethod.WHOLE if m == _ICP else m
+            tables[names[i]] = ScoreTable(method, names[i], dict(sorted(scores.items())), len(seq))
+    return out
 
 
 def whole_count(corpus: Corpus) -> ScoreTable:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bibrank import counting
-from bibrank.collaboration import country_metrics, derive_metrics, icp_count
+from bibrank.collaboration import country_metrics, derive_metrics, icp_count, is_international
 from bibrank.counting import (
     CountMethod,
     FractionalMode,
@@ -35,6 +35,7 @@ from bibrank.model import (
     DocType,
     PublicationRecord,
     SubjectScheme,
+    countries_of,
 )
 from bibrank.synth import SynthParams, generate
 
@@ -356,6 +357,26 @@ def _reused_tuples(seed: int, n_records: int, source: Corpus) -> Corpus:
     )
 
 
+def _one_tuple(seed: int, n_records: int) -> Corpus:
+    """One international authors tuple, with an unresolved author, under most
+    records and differing subjects, among a few records of their own."""
+    rng = random.Random(seed)
+    shared = (AuthorRef(frozenset({"IN", "US"})), AuthorRef(frozenset({"US"})), AuthorRef())
+    return Corpus(
+        tuple(
+            PublicationRecord(
+                f"o{rng.randrange(10**6):06d}-{i}",
+                2016,
+                DocType.ARTICLE,
+                frozenset(rng.sample(_SWEEP_SUBJECTS, rng.randint(0, 3))),
+                shared if i % 50 else (AuthorRef(frozenset({rng.choice(_WIDE_COUNTRIES)})),),
+            )
+            for i in range(n_records)
+        ),
+        SWEEP_SCHEME,
+    )
+
+
 def _sweep_corpora() -> dict[str, Corpus]:
     messy = random_corpus(random.Random(7), 300, SWEEP_SCHEME)
     wide = generate(
@@ -388,6 +409,8 @@ def _sweep_corpora() -> dict[str, Corpus]:
         "messy-csv": parse_csv(to_csv(messy), scheme=SWEEP_SCHEME)[0],
         "same-union-csv": parse_csv(to_csv(same_union), scheme=SWEEP_SCHEME)[0],
         "reused-tuples": _reused_tuples(19, 200, messy),
+        # one kind under 5,096 records: whole counts in the thousands, long fractional sums
+        "one-tuple": _one_tuple(29, 5_200),
         "empty": Corpus((), SWEEP_SCHEME),
     }
 
@@ -460,6 +483,15 @@ class TestSweepMatchesFrozenPasses:
             subjects_by_tuple.setdefault(id(r.authors), set()).add(r.subjects)
         assert len(subjects_by_tuple) <= 12
         assert all(len(subjects) > 1 for subjects in subjects_by_tuple.values())
+        # one tuple object under more than 5,000 records of differing subjects
+        repeated = SWEEP_CORPORA["one-tuple"].records
+        by_tuple: dict = {}
+        for r in repeated:
+            by_tuple.setdefault(id(r.authors), []).append(r)
+        most = max(by_tuple.values(), key=len)
+        assert len(most) > 5_000
+        assert len({r.subjects for r in most}) > 1
+        assert is_international(most[0]) and any(a.unresolved for a in most[0].authors)
 
     @pytest.mark.parametrize("name", SWEEP_CORPORA)
     @pytest.mark.parametrize("method", FRACTIONAL)
@@ -478,16 +510,46 @@ class TestSweepMatchesFrozenPasses:
         assert new == expected
         assert repr(new) == repr(expected)
 
-    def test_unknown_group_raises_before_counting(self, monkeypatch):
-        def no_shares(*args):
-            raise AssertionError("counted a record before checking the groups")
+    def test_unknown_group_raises_before_counting(self):
+        # walking the first record in id order raises, since its subjects
+        # cannot key the membership memo; the group check comes first
+        records = sorted(SWEEP_CORPORA["messy"].records, key=lambda r: r.id)
+        loose = replace(records[0], subjects=set(records[0].subjects))
+        corpus = Corpus((loose, *records[1:]), SWEEP_SCHEME)
+        with pytest.raises(TypeError, match="unhashable"):
+            subject_group_count(corpus, CountMethod.WHOLE, [ALL_FIELDS])
+        for method in CountMethod:
+            with pytest.raises(UnknownGroupError):
+                subject_group_count(corpus, method, [ALL_FIELDS, "nope"])
 
-        # a whole count prices its first record by the record's country union
-        monkeypatch.setattr(counting, "_union_shares", no_shares)
-        with pytest.raises(UnknownGroupError):
-            subject_group_count(
-                SWEEP_CORPORA["messy"], CountMethod.WHOLE, [ALL_FIELDS, "nope"]
-            )
+    @pytest.mark.parametrize("name", ["wide-jsonl", "same-union", "one-tuple", "messy-csv"])
+    def test_each_kind_and_union_priced_once(self, name, monkeypatch):
+        corpus = SWEEP_CORPORA[name]
+        methods = [*CountMethod, counting._ICP]
+        priced_authors, priced_unions = [], []
+        author_shares, union_shares = counting._fractional_author_shares, counting._union_shares
+
+        def by_authors(pattern):
+            priced_authors.append(pattern)
+            return author_shares(pattern)
+
+        def by_union(union, unresolved, method):
+            priced_unions.append((union, unresolved, method))
+            return union_shares(union, unresolved, method)
+
+        monkeypatch.setattr(counting, "_fractional_author_shares", by_authors)
+        monkeypatch.setattr(counting, "_union_shares", by_union)
+        counting._sweep(corpus, methods, [ALL_FIELDS, *SWEEP_SCHEME.names])
+        assert len(priced_authors) == len({id(r.authors) for r in corpus.records})
+        keys = {(countries_of(r), any(a.unresolved for a in r.authors)) for r in corpus.records}
+        assert len(priced_unions) == len(set(priced_unions))
+        assert set(priced_unions) == {(*key, m) for key in keys for m in methods}
+        # a sweep without a union-priced method prices no union
+        priced_authors.clear()
+        priced_unions.clear()
+        counting._sweep(corpus, [CountMethod.FRACTIONAL_AUTHOR], [ALL_FIELDS])
+        assert len(priced_authors) == len({id(r.authors) for r in corpus.records})
+        assert priced_unions == []
 
     def test_subjects_must_be_hashable(self):
         # group membership is memoized per subject set, so subjects must be
