@@ -184,10 +184,17 @@ MUTANTS = (
         IO_TESTS,
     ),
     Mutant(
+        # the stream stops at the same compare, so the stream's own tests run too
         "ingest: the order check accepts an equal id",
         INGEST,
         (("        if rec_id > batch.last_id:\n", "        if rec_id >= batch.last_id:\n"),),
-        IO_TESTS,
+        IO_TESTS + COUNTING_TESTS + ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "ingest: the stream goes on past an id that does not increase",
+        INGEST,
+        (("        if batch.sink is not None:\n", "        if False:\n"),),
+        COUNTING_TESTS + ("tests/test_cli.py",),
     ),
     Mutant(
         "ingest: the batch never switches to the dict",
@@ -346,7 +353,7 @@ MUTANTS = (
     Mutant(
         "counting: drop the id sort in _sweep",
         "bibrank/counting.py",
-        (("    for record in corpus._by_id:\n", "    for record in corpus.records:\n"),),
+        (("    walk.feed(corpus._by_id)\n", "    walk.feed(corpus.records)\n"),),
         COUNTING_TESTS,
     ),
     Mutant(
@@ -354,8 +361,8 @@ MUTANTS = (
         "bibrank/counting.py",
         (
             (
-                "records_of = [Counter(map(union_of.__getitem__, seq)) for seq in kinds]",
-                "records_of = [Counter(map(union_of.__getitem__, set(seq))) for seq in kinds]",
+                "records_of = [Counter(map(self.union_of.__getitem__, seq)) for seq in self.kinds]",
+                "records_of = [Counter(map(self.union_of.__getitem__, set(seq))) for seq in self.kinds]",
             ),
         ),
         COUNTING_TESTS,
@@ -375,6 +382,12 @@ MUTANTS = (
         "counting: a record's kind goes to every group's list",
         "bibrank/counting.py",
         (("                if codes is None or not codes.isdisjoint(subjects)\n", "                if True\n"),),
+        COUNTING_TESTS,
+    ),
+    Mutant(
+        "counting: the walk does not hold its kinds' authors tuples",
+        "bibrank/counting.py",
+        (("                self.authors.append(authors)\n", ""),),
         COUNTING_TESTS,
     ),
     Mutant(
@@ -457,6 +470,17 @@ MUTANTS = (
         "bibrank/model.py",
         (("        if len(kept) == len(self.records):\n", "        if len(kept) <= len(self.records):\n"),),
         COUNTING_TESTS,
+    ),
+    Mutant(
+        "cli: count only what streamed before the first id out of order",
+        "bibrank/cli.py",
+        (
+            (
+                "    if corpus is None:\n        walk = _Walk(scheme, methods, groups)\n        corpus, report = _load_corpus(args, scheme)\n",
+                "    if corpus is None:\n        return walk.credit()\n",
+            ),
+        ),
+        ("tests/test_cli.py",),
     ),
     Mutant(
         "cli: open --input as utf-8, not utf-8-sig",

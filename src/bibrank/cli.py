@@ -37,15 +37,19 @@ from operator import attrgetter
 from typing import Any, Callable, Iterable, Sequence, TextIO
 
 from . import replication
-from .collaboration import ReductionBasis, country_metrics
-from .counting import CountMethod, ScoreTable, subject_group_count
+from .collaboration import ReductionBasis, _metrics
+from .collaboration import country_metrics  # noqa: F401 - perfbench wraps it here
+from .counting import CountMethod, ScoreTable, _ICP, _Walk
 from .counting import fractional_count, slice_corpus, whole_count  # noqa: F401 - perfbench wraps them here
+from .counting import subject_group_count  # noqa: F401 - perfbench wraps it here
 from .errors import SchemaError, UndefinedInputError, UnknownGroupError
 from .ingest import (
     _WIRE_DOC_TYPES,
     DEFAULT_DOC_TYPES,
     ValidationReport,
-    apply_filter,
+    _Unordered,
+    _keeps,
+    apply_filter,  # noqa: F401 - perfbench wraps it here
     parse_csv,
     parse_jsonl,
     to_csv,
@@ -183,13 +187,10 @@ def _parse_doc_types(arg: str) -> set[DocType] | None:
 
 
 def _load_corpus(
-    args: argparse.Namespace, groups: Iterable[str] = ()
+    args: argparse.Namespace, scheme: SubjectScheme, sink: Callable[[Any], object] | None = None
 ) -> tuple[Corpus, ValidationReport]:
-    # the scheme alone decides each group name: both are checked before the input is read
-    scheme = _load_scheme(args.scheme)
-    for name in groups:
-        if name != ALL_FIELDS:
-            scheme.group(name)
+    """Parse ``--input`` and print its errors. Given ``sink``, a regular file's
+    records go to it as ``parse_jsonl`` says; stdin and pipes give a corpus."""
     stdin = args.input == "-"
     # stdin reads as a file does; newline="" keeps "\r\n" in quoted CSV fields
     try:
@@ -199,6 +200,8 @@ def _load_corpus(
             newline="",
             closefd=not stdin,
         ) as lines:
+            if stdin or not lines.seekable():
+                sink = None
             fmt = args.input_format
             if fmt == "auto":
                 fmt, lines = _sniff_format(args.input, lines)
@@ -207,7 +210,7 @@ def _load_corpus(
             collecting = gc.isenabled()
             gc.disable()
             try:
-                corpus, report = parse(lines, scheme=scheme, provenance=args.input)
+                corpus, report = parse(lines, scheme=scheme, provenance=args.input, _sink=sink)
             finally:
                 if collecting:
                     gc.enable()
@@ -220,16 +223,31 @@ def _load_corpus(
     return corpus, report
 
 
-def _filtered_corpus(args: argparse.Namespace, groups: Iterable[str] = ()) -> Corpus:
-    # a flag typo is reported before a long input is read
+def _count_tables(
+    args: argparse.Namespace, groups: list[str] | None, methods: list[object] | None = None
+) -> dict[object, dict[str, ScoreTable]]:
+    """Read and filter the input, then count ``methods`` (default: ``--method``'s)
+    for ``groups`` (None: ``ALL`` and every group), a regular file as it is
+    read; at an accepted id that does not increase, the file is read again."""
+    # a flag typo, a broken scheme or an unknown group is reported before a long input is read
     years, doc_types = _parse_years(args.years), _parse_doc_types(args.doc_types)
-    corpus, report = _load_corpus(args, groups)
+    scheme = _load_scheme(args.scheme)
+    methods = methods or [_method(args)]
+    walk, keep = _Walk(scheme, methods, groups), _keeps(years, doc_types)
+    try:
+        corpus, report = _load_corpus(args, scheme, lambda records: walk.feed(filter(keep, records)))
+    except _Unordered:
+        corpus = None  # read again once the exception has let go of the first parse
+    if corpus is None:
+        walk = _Walk(scheme, methods, groups)
+        corpus, report = _load_corpus(args, scheme)
     if not report.ok:
         raise UsageError(
             f"{len(report.errors)} record error(s) in {args.input}; "
             "run 'bibrank ingest' for the full report"
         )
-    return apply_filter(corpus, years, doc_types)
+    walk.feed(filter(keep, corpus._by_id))
+    return walk.credit()
 
 
 def _method(args: argparse.Namespace) -> CountMethod:
@@ -269,15 +287,10 @@ def _group_name(name: str) -> str:
     return ALL_FIELDS if name.lower() == "all" else name
 
 
-def _count_tables(args: argparse.Namespace, groups: list[str] | None) -> dict[str, ScoreTable]:
-    """Load and filter the input, then count ``groups`` (None: ``ALL`` and every scheme group)."""
-    return subject_group_count(_filtered_corpus(args, groups or ()), _method(args), groups)
-
-
 def _group_count(args: argparse.Namespace) -> ScoreTable:
-    """Load and filter the input, restrict it to ``--group``, then count."""
+    """Count the input under ``--method``, restricted to ``--group``."""
     group = _group_name(args.group) if args.group else ALL_FIELDS
-    return _count_tables(args, [group])[group]
+    return _count_tables(args, [group])[_method(args)][group]
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +298,7 @@ def _group_count(args: argparse.Namespace) -> ScoreTable:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    corpus, report = _load_corpus(args)
+    corpus, report = _load_corpus(args, _load_scheme(args.scheme))
     if args.emit == "report":
         rows = [["error", ref, msg] for ref, msg in report.errors]
         rows += [["warning", ref, msg] for ref, msg in report.warnings]
@@ -310,8 +323,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_collab(args: argparse.Namespace) -> int:
-    corpus = _filtered_corpus(args)
-    metrics = country_metrics(corpus, ReductionBasis(args.basis), _method(args))
+    methods = [CountMethod.WHOLE, _method(args), _ICP]
+    metrics = _metrics(_count_tables(args, [ALL_FIELDS], methods), methods, ReductionBasis(args.basis))
     headers = ["country", "wc", "fc", "icp", "icp_pct", "reduction_pct", "ratio"]
     _write_rows(args, headers, _attr_rows(metrics, headers), [None, 0, 2, 0, 1, 1, 2])
     return 0
@@ -331,7 +344,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 
 def _cmd_correlate(args: argparse.Namespace) -> int:
     names = _names(args.slices, "--slices", "subject group")
-    tables = _count_tables(args, [_group_name(n) for n in names])
+    tables = _count_tables(args, [_group_name(n) for n in names])[_method(args)]
     if args.stat == "spearman":
         matrix = srcc_matrix(tables)
     else:
@@ -344,7 +357,7 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
 
 
 def _cmd_subjects(args: argparse.Namespace) -> int:
-    tables = _count_tables(args, None)
+    tables = _count_tables(args, None)[_method(args)]
     # a group with no country to rank (no record, or only ZZ) gets no rows
     rows = [
         [entry.country, group, entry.score, entry.rank]

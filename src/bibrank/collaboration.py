@@ -123,12 +123,15 @@ def country_metrics(
     methods and the unresolved bucket is not a country.
     """
     methods = [CountMethod.WHOLE, _fractional(method), _ICP]
-    tables = _sweep(corpus, methods, [ALL_FIELDS])
+    return _metrics(_sweep(corpus, methods, [ALL_FIELDS]), methods, basis)
+
+
+def _metrics(tables: dict, methods: list[object], basis: ReductionBasis) -> list[CountryMetrics]:
+    """:func:`country_metrics` from the ``ALL`` tables of a sweep of its ``methods``."""
     wc, fc, icp = (tables[m][ALL_FIELDS] for m in methods)
     aggregates = [
         CountryAggregate(c, wc.score(c), fc.score(c), int(icp.score(c)))
         for c in wc.countries()
         if fc.score(c) > 0
     ]
-    metrics = derive_metrics(aggregates, basis)
-    return sorted(metrics, key=lambda m: (-m.wc, m.country))
+    return sorted(derive_metrics(aggregates, basis), key=lambda m: (-m.wc, m.country))

@@ -27,6 +27,8 @@ table (``ALL`` and any subject groups); unknown group names raise before
 any record is counted.
 
 A sweep has two phases and drops everything it built on return. The walk
+is fed records in id order, from a corpus or in lists straight from the
+parser as the command line reads a file, and holds no record. It
 gives each record a kind, the index of its ``authors`` tuple by identity
 (ingest and ``generate`` share one tuple between records with the same
 author list), and appends that kind to the list of every group the record
@@ -50,9 +52,9 @@ import enum
 from collections import Counter
 from dataclasses import dataclass
 from math import lcm
-from typing import Mapping
+from typing import Iterable, Mapping
 
-from .model import ALL_FIELDS, Corpus, UNRESOLVED, countries_of
+from .model import ALL_FIELDS, Corpus, PublicationRecord, SubjectScheme, UNRESOLVED, countries_of
 
 
 class CountMethod(enum.Enum):
@@ -140,78 +142,96 @@ def _union_shares(union: frozenset[str], unresolved: bool, method: object) -> _S
     return whole
 
 
+class _Walk(object):
+    """One sweep: :meth:`feed` walks records in id order, then :meth:`credit`
+    fills the tables; an unknown group raises on building. The walk holds each
+    kind's tuple, keyed by identity, so no other author list can take its id."""
+
+    def __init__(self, scheme: SubjectScheme, methods: list[object], groups: list[str] | None) -> None:
+        self.names = list(dict.fromkeys([ALL_FIELDS, *scheme.names] if groups is None else groups))
+        self.codes_of = [None if g == ALL_FIELDS else scheme.group(g) for g in self.names]
+        self.methods = list(dict.fromkeys(methods))
+        # a kind is a distinct authors tuple, priced at its first record
+        self.kind_of: dict[int, int] = {}
+        self.authors: list[tuple] = []
+        self.author_shares: list[_Shares] = []
+        self.union_of: list[int] = []
+        # every method but fractional-author credits by the country union and
+        # whether an author is unresolved, which far fewer author lists differ in
+        self.by_union: dict[tuple[frozenset[str], bool], int] = {}
+        self.per_union: list[list[_Shares | None]] = []
+        # each group lists its records' kinds in id order
+        self.kinds: list[list[int]] = [[] for _ in self.names]
+        self.by_subjects: dict[frozenset[str], list[list[int]]] = {}
+
+    def feed(self, records: Iterable[PublicationRecord]) -> None:
+        kind_of, by_subjects = self.kind_of, self.by_subjects
+        needs_author = CountMethod.FRACTIONAL_AUTHOR in self.methods
+        needs_union = self.methods != [CountMethod.FRACTIONAL_AUTHOR]
+        for record in records:
+            authors, subjects = record.authors, record.subjects
+            kind = kind_of.get(id(authors))
+            if kind is None:
+                kind = kind_of[id(authors)] = len(kind_of)
+                self.authors.append(authors)
+                pattern = tuple([a.countries for a in authors])
+                if needs_author:
+                    self.author_shares.append(_fractional_author_shares(pattern))
+                if needs_union:
+                    key = countries_of(record), not all(pattern)
+                    u = self.by_union.get(key)
+                    if u is None:
+                        u = self.by_union[key] = len(self.per_union)
+                        self.per_union.append([_union_shares(*key, m) for m in self.methods])
+                    self.union_of.append(u)
+            members = by_subjects.get(subjects)
+            if members is None:
+                members = by_subjects[subjects] = [
+                    seq for seq, codes in zip(self.kinds, self.codes_of)
+                    if codes is None or not codes.isdisjoint(subjects)
+                ]
+            for seq in members:
+                seq.append(kind)
+
+    def credit(self) -> dict[object, dict[str, ScoreTable]]:
+        # a whole or icp share is 1.0, so a country credited by n records
+        # scores float(n), exactly the sum of n sequential 1.0s; a fractional
+        # share is added once per record, in id order
+        out: dict[object, dict[str, ScoreTable]] = {}
+        records_of: list[Counter[int]] = []  # per group, its records per union
+        for j, m in enumerate(self.methods):
+            unit = m is CountMethod.WHOLE or m == _ICP
+            if unit and not records_of:
+                records_of = [Counter(map(self.union_of.__getitem__, seq)) for seq in self.kinds]
+            of_kind = self.author_shares
+            if m is CountMethod.FRACTIONAL_COUNTRY:
+                of_kind = [self.per_union[u][j] for u in self.union_of]
+            tables = out[m] = {}
+            for i, (name, seq) in enumerate(zip(self.names, self.kinds)):
+                scores: dict[str, float] = {}
+                if unit:
+                    units: dict[str, int] = {}
+                    for u, n in records_of[i].items():
+                        for country in self.per_union[u][j]:
+                            units[country] = units.get(country, 0) + n
+                    scores = {c: float(n) for c, n in units.items()}
+                else:
+                    for kind in seq:
+                        for country, share in of_kind[kind].items():
+                            scores[country] = scores.get(country, 0.0) + share
+                method = CountMethod.WHOLE if m == _ICP else m
+                tables[name] = ScoreTable(method, name, dict(sorted(scores.items())), len(seq))
+        return out
+
+
 def _sweep(
-    corpus: Corpus, methods: list[object], groups: list[str]
+    corpus: Corpus, methods: list[object], groups: list[str] | None
 ) -> dict[object, dict[str, ScoreTable]]:
-    """Count each of ``methods`` (``_ICP`` too) for each group: one id-ordered
-    walk that lists each group's kinds, then each table credited from its list."""
-    names = list(dict.fromkeys(groups))
-    codes_of = [None if g == ALL_FIELDS else corpus.scheme.group(g) for g in names]
-    methods = list(dict.fromkeys(methods))
-    # walk: a kind is a distinct authors tuple, priced at its first record,
-    # and each group lists its records' kinds in id order
-    kind_of: dict[int, int] = {}
-    author_shares: list[_Shares] = []
-    union_of: list[int] = []
-    # every method but fractional-author credits by the country union and
-    # whether an author is unresolved, which far fewer author lists differ in
-    by_union: dict[tuple[frozenset[str], bool], int] = {}
-    per_union: list[list[_Shares | None]] = []
-    needs_author = CountMethod.FRACTIONAL_AUTHOR in methods
-    needs_union = methods != [CountMethod.FRACTIONAL_AUTHOR]
-    kinds: list[list[int]] = [[] for _ in names]
-    by_subjects: dict[frozenset[str], list[list[int]]] = {}
-    for record in corpus._by_id:
-        authors, subjects = record.authors, record.subjects
-        kind = kind_of.get(id(authors))
-        if kind is None:
-            kind = kind_of[id(authors)] = len(kind_of)
-            pattern = tuple([a.countries for a in authors])
-            if needs_author:
-                author_shares.append(_fractional_author_shares(pattern))
-            if needs_union:
-                key = countries_of(record), not all(pattern)
-                u = by_union.get(key)
-                if u is None:
-                    u = by_union[key] = len(per_union)
-                    per_union.append([_union_shares(*key, m) for m in methods])
-                union_of.append(u)
-        members = by_subjects.get(subjects)
-        if members is None:
-            members = by_subjects[subjects] = [
-                seq for seq, codes in zip(kinds, codes_of)
-                if codes is None or not codes.isdisjoint(subjects)
-            ]
-        for seq in members:
-            seq.append(kind)
-    # credit: a whole or icp share is 1.0, so a country credited by n records
-    # scores float(n), exactly the sum of n sequential 1.0s; a fractional
-    # share is added once per record, in id order
-    out: dict[object, dict[str, ScoreTable]] = {}
-    records_of: list[Counter[int]] = []  # per group, its records per union
-    for j, m in enumerate(methods):
-        unit = m is CountMethod.WHOLE or m == _ICP
-        if unit and not records_of:
-            records_of = [Counter(map(union_of.__getitem__, seq)) for seq in kinds]
-        of_kind = author_shares
-        if m is CountMethod.FRACTIONAL_COUNTRY:
-            of_kind = [per_union[u][j] for u in union_of]
-        tables = out[m] = {}
-        for i, seq in enumerate(kinds):
-            scores: dict[str, float] = {}
-            if unit:
-                units: dict[str, int] = {}
-                for u, n in records_of[i].items():
-                    for country in per_union[u][j]:
-                        units[country] = units.get(country, 0) + n
-                scores = {c: float(n) for c, n in units.items()}
-            else:
-                for kind in seq:
-                    for country, share in of_kind[kind].items():
-                        scores[country] = scores.get(country, 0.0) + share
-            method = CountMethod.WHOLE if m == _ICP else m
-            tables[names[i]] = ScoreTable(method, names[i], dict(sorted(scores.items())), len(seq))
-    return out
+    """Count each of ``methods`` (``_ICP`` too) for each group (None: ``ALL``
+    and every scheme group), walking the corpus in id order."""
+    walk = _Walk(corpus.scheme, methods, groups)
+    walk.feed(corpus._by_id)
+    return walk.credit()
 
 
 def whole_count(corpus: Corpus) -> ScoreTable:
@@ -270,6 +290,4 @@ def subject_group_count(
     equal to a count of that group's slice alone; unknown group names
     raise :class:`UnknownGroupError` before any record is counted.
     """
-    if groups is None:
-        groups = [ALL_FIELDS, *corpus.scheme.names]
     return _sweep(corpus, [method], groups)[method]

@@ -170,6 +170,13 @@ _Authors = tuple[tuple[AuthorRef, ...], tuple[str, ...]]
 _Fields = tuple[Any, DocType, frozenset[str] | None, tuple[str, ...]]
 
 
+_FEED_RECORDS = 1024  # accepted records a parse hands its sink at a time
+
+
+class _Unordered(Exception):
+    """A parse given a sink met an id not greater than the last one accepted."""
+
+
 class _Slot(object):
     """One distinct raw author of a parse: its interned author and warnings.
 
@@ -195,18 +202,20 @@ class _Batch(object):
     order, in which that id and every later one is looked up. A rejected
     record's id is neither ``last_id`` nor a key. A reject given no id
     names the ``unit`` and ``number`` of the line or row that the parse
-    loop is reading.
+    loop is reading. Given a ``sink``, ``records`` goes to it each time it
+    fills to ``_FEED_RECORDS``, then empties; an id not greater raises ``_Unordered``.
 
     Each parse creates its own batch and drops it on return, so no two
     parses share a memo. Interned values are immutable, so sharing one
     ``AuthorRef``, ``authors`` tuple or subject set between records is safe.
     """
 
-    def __init__(self, unit: str) -> None:
+    def __init__(self, unit: str, sink: Callable[[list[PublicationRecord]], object] | None) -> None:
         self.report = ValidationReport()
         self.unit = unit
         self.number = 0
         self.records: list[PublicationRecord] = []
+        self.sink = sink
         self.last_id = ""
         self.by_id: dict[str, PublicationRecord] | None = None
         # raw author country tuple -> its slot
@@ -235,10 +244,10 @@ class _Batch(object):
         self, scheme: SubjectScheme | None, provenance: str
     ) -> tuple[Corpus, ValidationReport]:
         records = tuple(self.records if self.by_id is None else self.by_id.values())
-        # the list or dict goes before the corpus checks the ids again
+        order = records if self.by_id is None else None  # ids proven in order and unique
         self.records.clear()
         self.by_id = None
-        return Corpus(records, scheme or EMPTY_SCHEME, provenance), self.report
+        return Corpus(records, scheme or EMPTY_SCHEME, provenance, order), self.report
 
 
 def _take_doc_type(raw: Any) -> tuple[DocType, tuple[str, ...]]:
@@ -375,6 +384,9 @@ def _take_record(
     if batch.by_id is None:
         batch.records.append(record)
         batch.last_id = rec_id
+        if batch.sink is not None and len(batch.records) == _FEED_RECORDS:
+            batch.sink(batch.records)
+            batch.records.clear()
     else:
         batch.by_id[rec_id] = record
     report.records_accepted += 1
@@ -390,6 +402,8 @@ def _take_id(raw: Any, batch: _Batch) -> str | None:
     if batch.by_id is None:
         if rec_id > batch.last_id:
             return rec_id
+        if batch.sink is not None:
+            raise _Unordered(rec_id)
         # the first id out of order: look ids up in a dict from here on
         batch.by_id = {record.id: record for record in batch.records}
         batch.records.clear()
@@ -535,6 +549,7 @@ def parse_jsonl(
     *,
     scheme: SubjectScheme | None = None,
     provenance: str = "jsonl",
+    _sink: Callable[[list[PublicationRecord]], object] | None = None,
 ) -> tuple[Corpus, ValidationReport]:
     """Parse a JSONL record stream.
 
@@ -542,9 +557,10 @@ def parse_jsonl(
     file; it is read once, line by line. Returns the corpus of accepted
     records plus a validation report. Rows missing ``id`` or ``authors`` are
     rejected; missing ``year``/``doc_type`` degrade with a warning. Blank
-    lines are ignored.
+    lines are ignored. The private ``_sink`` takes accepted records in lists as
+    they come, leaving the corpus the rest; an id out of order raises ``_Unordered``.
     """
-    batch = _Batch("line")
+    batch = _Batch("line", _sink)
     for batch.number, line in enumerate(
         _split_lines(source) if isinstance(source, str) else source, start=1
     ):
@@ -594,15 +610,16 @@ def parse_csv(
     *,
     scheme: SubjectScheme | None = None,
     provenance: str = "csv",
+    _sink: Callable[[list[PublicationRecord]], object] | None = None,
 ) -> tuple[Corpus, ValidationReport]:
     """Parse the CSV record format; see the module docstring for the layout.
 
     ``source`` is the whole text or an iterable of lines that keep their
     endings, such as a file opened with ``newline=""``. A wrong header, or a
     row that ``csv`` cannot read, raises :class:`SchemaError`; other row-level
-    problems reject only that row.
+    problems reject only that row. ``_sink`` works as in :func:`parse_jsonl`.
     """
-    batch = _Batch("row")
+    batch = _Batch("row", _sink)
     for batch.number, row in _csv_rows(source, CSV_HEADER):
         if len(row) != len(CSV_HEADER):
             batch.reject(None, f"expected {len(CSV_HEADER)} columns, got {len(row)}")
@@ -813,11 +830,15 @@ def apply_filter(
     An empty or ``None`` dimension means no constraint on it. Record order
     is preserved and the scheme/provenance carry over.
     """
+    return corpus._subset(_keeps(years, doc_types))
+
+
+def _keeps(years: Iterable[int] | None, doc_types: Iterable[DocType] | None) -> Callable[..., bool]:
+    """The predicate :func:`apply_filter` keeps a record by."""
     year_set = set(years) if years else None
     type_set = set(doc_types) if doc_types else None
-    return corpus._subset(
-        lambda r: (year_set is None or r.year in year_set)
-        and (type_set is None or r.doc_type in type_set)
+    return lambda r: (year_set is None or r.year in year_set) and (
+        type_set is None or r.doc_type in type_set
     )
 
 

@@ -225,7 +225,8 @@ class Corpus(object):
     scheme: SubjectScheme = EMPTY_SCHEME
     provenance: str = ""
     # the records in id order, from a caller that vouches for it: a corpus
-    # that passes on a subset of its own records
+    # that passes on a subset of its own records, or a parse whose accepted
+    # ids increased
     _id_order: InitVar[tuple[PublicationRecord, ...] | None] = None
     # the records in id order; ``records`` itself when already in it
     _by_id: tuple[PublicationRecord, ...] = field(init=False, repr=False, compare=False)

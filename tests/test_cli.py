@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -11,12 +12,14 @@ from pathlib import Path
 import pytest
 
 import bibrank
+from bibrank import cli
 from bibrank.cli import run
 from bibrank.ingest import _CHUNK_LINES, to_csv, to_jsonl
 from bibrank.model import Corpus, DocType
 from bibrank.synth import SynthParams, generate
 
 from conftest import digit_limit_message, rec
+from oracles import random_corpus
 
 
 def invoke(capsys, *argv: str) -> tuple[int, str, str]:
@@ -984,3 +987,131 @@ class TestStdinReadsAsFile:
         assert from_stdin.returncode == code, from_stdin.stderr
         assert from_stdin.stdout == from_file.stdout
         assert from_stdin.stderr == from_file.stderr.replace(str(path).encode(), b"-")
+
+
+def _last_first(text: str, fmt: str) -> str:
+    """``text`` with its first record moved to the end, so that only the
+    last record's id does not increase."""
+    lines = text.splitlines(keepends=True)
+    head = lines[:1] if fmt == "csv" else []
+    body = lines[len(head) :]
+    return "".join(head + body[1:] + body[:1])
+
+
+class TestStreamedInput:
+    """count, rank, subjects, correlate and collab count a regular file as
+    they read it. A file whose ids stop increasing is read again into a
+    corpus, and stdin and pipes are read into one at once: every way gives
+    the same bytes."""
+
+    ARGVS = [
+        ["count", "--method", "fractional"],
+        ["count", "--method", "whole", "--group", "phys", "--doc-types", "all"],
+        ["count", "--years", "2016,2017", "--doc-types", "article,review"],
+        ["rank", "--method", "fractional", "--mode", "country"],
+        ["subjects", "--method", "fractional"],
+        ["correlate", "--slices", "all,phys,life"],
+        ["collab", "--mode", "country"],
+    ]
+
+    @pytest.fixture
+    def texts(self):
+        corpus = random_corpus(random.Random(31), 400)
+        return {"jsonl": to_jsonl(corpus), "csv": to_csv(corpus)}
+
+    @staticmethod
+    def _parses(monkeypatch, fmt):
+        # the parse calls of one run, by whether they were given a sink
+        name = "parse_jsonl" if fmt == "jsonl" else "parse_csv"
+        parse, calls = getattr(cli, name), []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["_sink"] is not None)
+            return parse(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_last_line_out_of_order_reads_again(
+        self, capsys, monkeypatch, tmp_path, scheme_file, texts, fmt, argv
+    ):
+        ordered, last_first = tmp_path / f"ordered.{fmt}", tmp_path / f"last_first.{fmt}"
+        ordered.write_text(texts[fmt], encoding="utf-8")
+        last_first.write_text(_last_first(texts[fmt], fmt), encoding="utf-8")
+        argv = [*argv, "--scheme", scheme_file, "--input"]
+        calls = self._parses(monkeypatch, fmt)
+        code, streamed, _ = invoke(capsys, *argv, str(ordered))
+        assert (code, calls) == (0, [True])
+        calls.clear()
+        code, again, _ = invoke(capsys, *argv, str(last_first))
+        assert (code, calls) == (0, [True, False])
+        assert again == streamed
+        calls.clear()
+        with open(last_first, encoding="utf-8") as fake_stdin:
+            monkeypatch.setattr("sys.stdin", fake_stdin)
+            code, from_stdin, _ = invoke(capsys, *argv, "-")
+        assert (code, calls) == (0, [False])
+        assert from_stdin == streamed
+
+    @pytest.mark.parametrize("out_of_order", [False, True])
+    def test_one_reject_prints_it_and_writes_nothing(self, capsys, tmp_path, texts, out_of_order):
+        lines = texts["jsonl"].splitlines(keepends=True)
+        lines[200] = lines[200].split(',"authors":')[0] + ',"authors":[]}\n'
+        path = tmp_path / "one_reject.jsonl"
+        path.write_text(_last_first("".join(lines), "jsonl") if out_of_order else "".join(lines))
+        code, out, err = invoke(capsys, "count", "--input", str(path))
+        assert (code, out) == (1, "")
+        assert "error: r00200: missing or empty authors" in err.splitlines()
+        assert f"error: 1 record error(s) in {path}; run 'bibrank ingest' for the full report" in err
+
+    def test_repeated_id_is_named_as_the_corpus_path_names_it(self, capsys, tmp_path, texts):
+        # a repeat right after its first occurrence: the stream stops at it
+        lines = texts["jsonl"].splitlines(keepends=True)
+        path = tmp_path / "repeat.jsonl"
+        path.write_text("".join(lines[:3] + lines[2:]), encoding="utf-8")
+        code, out, err = invoke(capsys, "count", "--input", str(path))
+        assert (code, out) == (1, "")
+        assert "error: r00002: duplicate record id; first occurrence kept" in err.splitlines()
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_stdin_and_a_pipe_give_the_file_bytes(self, tmp_path, texts, shuffled):
+        lines = texts["jsonl"].splitlines(keepends=True)
+        if shuffled:
+            random.Random(3).shuffle(lines)
+        data = "".join(lines).encode()
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(data)
+        env = dict(os.environ, PYTHONPATH=str(Path(bibrank.__file__).parents[1]))
+        argv = [sys.executable, "-m", "bibrank.cli", "count", "--method", "fractional", "--input"]
+        from_file = subprocess.run([*argv, str(path)], env=env, capture_output=True, timeout=60)
+        with open(path, "rb") as stdin:
+            from_stdin = subprocess.run([*argv, "-"], env=env, stdin=stdin, capture_output=True, timeout=60)
+        read, write = os.pipe()
+        child = subprocess.Popen(
+            [*argv, f"/dev/fd/{read}"], env=env, pass_fds=(read,),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        os.close(read)
+        with open(write, "wb") as pipe:
+            pipe.write(data)
+        from_pipe, _ = child.communicate(timeout=60)
+        assert from_file.returncode == from_stdin.returncode == child.returncode == 0
+        assert from_file.stdout.startswith(b"country,fractional_author\n")
+        assert from_stdin.stdout == from_pipe == from_file.stdout
+
+    def test_streamed_count_holds_no_corpus(self, capsys, tmp_path):
+        def peak(n):
+            path = tmp_path / f"synth_{n}.jsonl"
+            path.write_text(to_jsonl(generate(SynthParams(seed=5, n_records=n))), encoding="utf-8")
+            tracemalloc.start()
+            try:
+                assert run(["count", "--method", "fractional", "--input", str(path)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                capsys.readouterr()
+
+        peak(10)
+        assert peak(40_000) <= peak(10_000) + 1_000_000

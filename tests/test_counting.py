@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bibrank import counting
+from bibrank import counting, ingest
 from bibrank.collaboration import country_metrics, derive_metrics, icp_count, is_international
 from bibrank.counting import (
     CountMethod,
@@ -603,3 +603,62 @@ class TestShuffledInput:
             for country, share in fractional_count(Corpus((r,))).scores.items():
                 scores[country] = scores.get(country, 0.0) + share
         assert forward != dict(sorted(scores.items()))
+
+
+class TestStreamedWalk:
+    """A walk fed by a parse as it reads, with no corpus built, gives the
+    tables of the parsed corpus bit for bit."""
+
+    GROUPS = [ALL_FIELDS, *SWEEP_SCHEME.names]
+    METHODS = [[m] for m in CountMethod] + [[*CountMethod, counting._ICP]]
+
+    @pytest.mark.parametrize("name", SWEEP_CORPORA)
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("methods", METHODS, ids=lambda ms: "+".join(str(m) for m in ms))
+    def test_streamed_tables_match_the_parsed_corpus(self, name, fmt, methods):
+        # written in id order, as a file that streams to its end is
+        ordered = Corpus(SWEEP_CORPORA[name]._by_id, SWEEP_SCHEME)
+        text, parse = (to_jsonl(ordered), parse_jsonl) if fmt == "jsonl" else (to_csv(ordered), parse_csv)
+        parsed, report = parse(text, scheme=SWEEP_SCHEME)
+        walk = counting._Walk(SWEEP_SCHEME, methods, self.GROUPS)
+        rest, streamed_report = parse(text, scheme=SWEEP_SCHEME, _sink=walk.feed)
+        # the sink took every full list of records, and the corpus the rest
+        assert len(parsed) == len(ordered)
+        assert list(rest) == list(parsed)[len(parsed) - len(parsed) % ingest._FEED_RECORDS :]
+        assert streamed_report == report
+        walk.feed(rest._by_id)
+        tables = walk.credit()
+        for method in methods:
+            if method == counting._ICP:
+                _assert_same_table(tables[method][ALL_FIELDS], icp_count(parsed))
+                continue
+            expected = subject_group_count(parsed, method, self.GROUPS)
+            assert list(tables[method]) == list(expected)
+            for group in expected:
+                _assert_same_table(tables[method][group], expected[group])
+
+    def test_walk_holds_each_kinds_tuple(self):
+        # each record gets a fresh authors tuple that is freed once the walk
+        # has taken it, so its id is free for the next author list to reuse
+        corpus = SWEEP_CORPORA["messy"]
+        walk = counting._Walk(SWEEP_SCHEME, list(CountMethod), self.GROUPS)
+        walk.feed(replace(record, authors=tuple(list(record.authors))) for record in corpus._by_id)
+        tables = walk.credit()
+        for method in CountMethod:
+            expected = subject_group_count(corpus, method, self.GROUPS)
+            for group in expected:
+                _assert_same_table(tables[method][group], expected[group])
+
+    @pytest.mark.parametrize("last", ["p00000", "p01499", "p00999"])
+    def test_an_id_that_does_not_increase_stops_the_stream(self, last):
+        # the sink is handed whole lists of records as they fill, and none after
+        ids = [f"p{i:05d}" for i in range(1500)] + [last]
+        text = "".join(f'{{"id":"{i}","authors":[{{"countries":["US"]}}]}}\n' for i in ids)
+        seen: list[str] = []
+        with pytest.raises(ingest._Unordered):
+            parse_jsonl(text, _sink=lambda records: seen.extend(r.id for r in records))
+        assert seen == ids[: ingest._FEED_RECORDS]
+        # the same text read into a corpus takes each id once
+        corpus, report = parse_jsonl(text)
+        assert sorted(r.id for r in corpus) == sorted(set(ids))
+        assert report.records_rejected == len(ids) - len(set(ids))
