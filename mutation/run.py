@@ -296,8 +296,8 @@ MUTANTS = (
         SYNTH,
         (
             (
-                "    return _draw(params, _Draws(bit_generator), countries, probs, _cdf(probs))\n",
-                "    return iter(tuple(_draw(params, _Draws(bit_generator), countries, probs, _cdf(probs))))\n",
+                "    return _draw(params, _Draws(next_chunk), countries, probs, _cdf(probs))\n",
+                "    return iter(tuple(_draw(params, _Draws(next_chunk), countries, probs, _cdf(probs))))\n",
             ),
         ),
         ("tests/test_cli.py",),
@@ -307,6 +307,30 @@ MUTANTS = (
         SYNTH,
         (("        if params.collab_prob > 0 and np.count_nonzero(probs) < 2:\n", "        if False:\n"),),
         ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "synth: PCG64's high half without the low half's carry",
+        SYNTH,
+        ((" + c_hi + (lo < product_lo).astype(np.uint64)\n", " + c_hi\n"),),
+        SYNTH_TESTS,
+    ),
+    Mutant(
+        "synth: XSL-RR's left shift without & 63",
+        SYNTH,
+        (("(x << (-rot & n63))", "(x << -rot)"),),
+        SYNTH_TESTS,
+    ),
+    Mutant(
+        "synth: SeedSequence skips the entropy words past its pool",
+        SYNTH,
+        (("product(range(4, len(words)), range(4))", "product(range(4, 4), range(4))"),),
+        SYNTH_TESTS,
+    ),
+    Mutant(
+        "synth: the next chunk starts from the wrong lane",
+        SYNTH,
+        (("        state = int(hi[-1]) << 64 | int(lo[-1])\n", "        state = int(hi[-2]) << 64 | int(lo[-2])\n"),),
+        SYNTH_TESTS,
     ),
     Mutant(
         "synth: a fresh word for every 32-bit draw",

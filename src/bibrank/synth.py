@@ -4,10 +4,10 @@ Generation is fully deterministic given the seed: the generator is
 numpy's PCG64 (a well-documented 64-bit PRNG with a reproducible stream
 across platforms), and every draw happens in a fixed order per record.
 
-Every draw reproduces numpy's ``Generator`` stream without calling a
-``Generator`` method per record. The PCG64 words are read a chunk at a
-time through ``bit_generator.random_raw``, and each draw is derived from
-them in Python as numpy's C code derives it: ``random()`` from a word's top
+Every draw reproduces numpy's ``Generator`` stream without
+``numpy.random``: :func:`_pcg64_chunks` computes PCG64's words a chunk at a
+time in numpy uint64 arithmetic, seeded as numpy seeds it, and each draw is
+derived from them in Python as numpy's C code derives it: ``random()`` from a word's top
 53 bits, ``integers`` by Lemire's bounded draw on 32-bit halves (a word's
 high half kept for the next such draw, as PCG64 keeps it), and the subject
 ``choice(..., replace=False)`` by Floyd's sample and a shuffle (or, as
@@ -36,10 +36,11 @@ called, so iterating never raises and such a writer writes all or nothing.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import TYPE_CHECKING, Iterator
+from itertools import chain, permutations, product
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from .model import AuthorRef, Corpus, DocType, PublicationRecord, SubjectScheme, EMPTY_SCHEME
 
@@ -112,25 +113,103 @@ def _cdf(probs: np.ndarray) -> list[float]:
     return cdf.tolist()
 
 
-# raw words per random_raw call: enough to spread its cost, few enough that
+# words per chunk: enough to spread the numpy calls' cost, few enough that
 # a streamed synth holds next to nothing of them
 _CHUNK_WORDS = 1024
+_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's multiplier
+
+
+def _hasher(const: int, mult: int) -> Callable[[int], int]:
+    # SeedSequence's hash of a 32-bit word, stepping its constant on each call
+    def hash_word(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    return hash_word
+
+
+def _seed_words(seed: int) -> list[int]:
+    """``SeedSequence(seed).generate_state(4, np.uint64)``, in Python ints."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    entropy = [seed & _MASK32]  # the seed's 32-bit words, lowest first
+    while seed := seed >> 32:
+        entropy.append(seed & _MASK32)
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    # four hashed words, then each mixed into the others, then each further word into all
+    words = [hashmix(word) for word in (entropy + [0, 0, 0])[:4]] + entropy[4:]
+    for src, dst in chain(permutations(range(4), 2), product(range(4, len(words)), range(4))):
+        mixed = (0xCA01F9DD * words[dst] - 0x4973F715 * hashmix(words[src])) & _MASK32
+        words[dst] = mixed ^ mixed >> 16
+    # eight hashed words, cycling the pool, paired little-endian into four
+    halves = list(map(_hasher(0x8B51F9DD, 0x58F38DED), words[:4] * 2))
+    return [halves[i] | halves[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+def _pcg64_chunks(seed: int) -> Callable[[], list[int]]:
+    """Each call returns the next ``PCG64(seed).random_raw(_CHUNK_WORDS)`` as a list.
+
+    PCG64 steps its 128-bit state ``s`` to ``s * M + inc`` and outputs the new
+    state's XSL-RR word; ``k`` steps give ``A_k * s + C_k`` mod 2**128, so a
+    chunk is that map for k = 1 .. _CHUNK_WORDS on uint64 halves.
+    """
+    import numpy as np
+
+    key = _seed_words(seed)
+    # PCG64's srandom: a step from 0 by the odd increment, add the seed, a step
+    inc = ((key[2] << 64 | key[3]) << 1 | 1) & _MASK128
+    state = (((key[0] << 64 | key[1]) + inc) * _PCG_MULT + inc) & _MASK128
+    steps = [(1, 0)]  # (A_k, C_k)
+    for _ in range(_CHUNK_WORDS):
+        a, c = steps[-1]
+        steps.append((a * _PCG_MULT & _MASK128, (c * _PCG_MULT + inc) & _MASK128))
+    a_hi, a_lo, c_hi, c_lo = (
+        np.array([step[i] >> shift & _MASK64 for step in steps[1:]], dtype=np.uint64)
+        for i in (0, 1)
+        for shift in (64, 0)
+    )
+    # every operand is a uint64 array or np.uint64 scalar: a Python int promotes
+    # differently across numpy versions, and a wrapping scalar product warns
+    mask32, n32, n58, n63 = (np.uint64(v) for v in (_MASK32, 32, 58, 63))
+    a_lo0, a_lo1 = a_lo & mask32, a_lo >> n32
+
+    def chunk() -> list[int]:
+        nonlocal state
+        s_hi, s_lo = np.uint64(state >> 64), np.uint64(state & _MASK64)
+        s_lo0, s_lo1 = s_lo & mask32, s_lo >> n32
+        # the low halves' 128-bit product from 32-bit partial products
+        low, cross0, cross1 = a_lo0 * s_lo0, a_lo0 * s_lo1, a_lo1 * s_lo0
+        mid = (low >> n32) + (cross0 & mask32) + (cross1 & mask32)
+        product_lo = a_lo * s_lo
+        lo = product_lo + c_lo
+        hi = a_lo1 * s_lo1 + (cross0 >> n32) + (cross1 >> n32) + (mid >> n32)
+        hi += a_hi * s_lo + a_lo * s_hi + c_hi + (lo < product_lo).astype(np.uint64)
+        state = int(hi[-1]) << 64 | int(lo[-1])
+        # XSL-RR: the halves' xor, rotated right by the state's top six bits
+        x, rot = hi ^ lo, hi >> n58
+        return ((x >> rot) | (x << (-rot & n63))).tolist()
+
+    return chunk
 
 
 class _Draws(object):
-    """numpy ``Generator`` draws, derived from its bit generator's raw words.
+    """numpy ``Generator`` draws, derived from PCG64's raw words.
 
-    The 64-bit PCG64 words are read :data:`_CHUNK_WORDS` at a time through
-    ``bit_generator.random_raw``, and each draw is made from them in Python
+    ``next_chunk()`` returns the next list of 64-bit words, as
+    :func:`_pcg64_chunks` does, and each draw is made from them in Python
     the way numpy's C code makes it from the same words, so the values and
     the words they use are those of the ``Generator`` method each method
-    names. The bit generator must be fresh: numpy keeps a half-used word in
-    its state, and this object keeps its own.
+    names. The words must start with the bit generator's first: numpy keeps
+    a half-used word in its state, and this object keeps its own.
     """
 
-    def __init__(self, bit_generator: np.random.BitGenerator) -> None:
-        chunks = iter(lambda: bit_generator.random_raw(_CHUNK_WORDS).tolist(), None)
-        self._word = chain.from_iterable(chunks).__next__
+    def __init__(self, next_chunk: Callable[[], list[int]]) -> None:
+        self._word = chain.from_iterable(iter(next_chunk, None)).__next__
         # PCG64's next_uint32 returns a word's low half and keeps its high
         # half for the next 32-bit draw; random() never touches it
         self._half: int | None = None
@@ -203,18 +282,30 @@ def iter_records(params: SynthParams) -> Iterator[PublicationRecord]:
     """
     import numpy as np
 
-    bit_generator = np.random.PCG64(params.seed)
+    next_chunk = _pcg64_chunks(params.seed)
     countries = sorted(params.country_weights)
     weights = np.array([params.country_weights[c] for c in countries], dtype=float)
     probs = weights / weights.sum()
     if params.n_records:
-        # the checks and errors of the Generator.choice calls the draws
-        # below replace, on a generator of its own so the stream is untouched
-        np.random.Generator(np.random.PCG64(0)).choice(len(countries), p=probs)
+        # the refusals of the Generator.choice(..., p=probs) calls the draws
+        # below replace, in choice's order and words: its Kahan sum first
+        p = probs.tolist()
+        total, lost = p[0], 0.0
+        for x in p[1:]:
+            x -= lost
+            lost = (total + x - total) - x
+            total += x
+        if total != total:
+            raise ValueError("Probabilities contain NaN")
+        if any(x < 0 for x in p):
+            raise ValueError("Probabilities are not non-negative")
+        if abs(total - 1.0) > 2.0**-26:  # the square root of float64's eps
+            raise ValueError("Probabilities do not sum to 1. See Notes section of docstring for "
+                             "more information.")
         if params.collab_prob > 0 and np.count_nonzero(probs) < 2:
             # choice(size=2, replace=False, p=probs)'s refusal
             raise ValueError("Fewer non-zero entries in p than size")
-    return _draw(params, _Draws(bit_generator), countries, probs, _cdf(probs))
+    return _draw(params, _Draws(next_chunk), countries, probs, _cdf(probs))
 
 
 def _draw(

@@ -908,6 +908,28 @@ class TestProcessState:
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "False False"
 
+    def test_synth_leaves_numpy_random_unloaded(self, tmp_path):
+        # synth computes PCG64's words with numpy core alone; importing
+        # numpy.random would add about 6 MB to its peak
+        out = tmp_path / "synth.jsonl"
+        script = (
+            "import sys\n"
+            "from bibrank.cli import run\n"
+            f"assert run(['synth', '--seed', '3', '--n-records', '3000', '--output', {str(out)!r}]) == 0\n"
+            "print('numpy' in sys.modules, 'numpy.random' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(bibrank.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "True False"
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 3000
+
     @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
     @pytest.mark.parametrize("bad_header", [False, True], ids=["clean", "bad-csv-header"])
     def test_collector_state_is_restored(self, capsys, tmp_path, mixed_corpus, enabled, bad_header):

@@ -2,11 +2,19 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bibrank.collaboration import is_international
 from bibrank.ingest import parse_jsonl, to_jsonl
 from bibrank.model import DocType
-from bibrank.synth import _CHUNK_WORDS, SynthParams, _Draws, generate, iter_records
+from bibrank.synth import (
+    _CHUNK_WORDS,
+    SynthParams,
+    _Draws,
+    _pcg64_chunks,
+    generate,
+    iter_records,
+)
 
 from oracles import oracle_generate, oracle_to_jsonl
 
@@ -172,18 +180,28 @@ class TestGeneratorGate:
         assert first.records[0].authors[0] is not second.records[0].authors[0]
 
     @pytest.mark.parametrize(
-        "weights, collab_prob",
+        "weights, collab_prob, seed",
         [
             # the second weight underflows to zero once normalized
-            ({"AA": 1e300, "ZY": 1e-300}, 0.5),
-            ({"AA": 1e300, "ZY": 1e-300}, 0.0),
+            ({"AA": 1e300, "ZY": 1e-300}, 0.5, 1),
+            ({"AA": 1e300, "ZY": 1e-300}, 0.0, 1),
             # the sum overflows, so every normalized weight is zero or NaN
-            ({"AA": 1e308, "ZY": 1e308}, 0.5),
+            ({"AA": 1e308, "ZY": 1e308}, 0.5, 1),
+            # a NaN or infinite weight passes SynthParams and makes the
+            # normalized weights NaN
+            ({"AA": float("nan"), "ZY": 1.0}, 0.5, 1),
+            ({"AA": float("inf"), "ZY": 1.0}, 0.0, 1),
+            # a negative seed is refused before any weight is looked at
+            ({"AA": float("nan"), "ZY": 1.0}, 0.5, -1),
+            ({"AA": 1.0, "ZY": 2.0}, 0.25, -1),
         ],
     )
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_weights_numpy_rejects_fail_as_before(self, weights, collab_prob):
-        params = SynthParams(seed=1, n_records=5, country_weights=weights, collab_prob=collab_prob)
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_weights_numpy_rejects_fail_as_before(self, weights, collab_prob, seed):
+        params = SynthParams(
+            seed=seed, n_records=5, country_weights=weights, collab_prob=collab_prob
+        )
         outcomes = []
         for build in (generate, oracle_generate):
             try:
@@ -191,6 +209,14 @@ class TestGeneratorGate:
             except ValueError as exc:
                 outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1]
+
+    def test_negative_weight_set_after_the_checks_fails_as_before(self):
+        # SynthParams checks its weights once; its dict can change after
+        params = SynthParams(seed=1, n_records=5, country_weights={"AA": 1.0, "ZY": 2.0})
+        params.country_weights["AA"] = -1.0
+        for build in (generate, oracle_generate):
+            with pytest.raises(ValueError, match="^Probabilities are not non-negative$"):
+                build(params)
 
 
 # (n, k) for choice(n, size=k, replace=False): k = 0, 1, n and between; the
@@ -214,7 +240,7 @@ class TestDrawsMatchGenerator:
     calls are interleaved as ``_draw`` interleaves them."""
 
     def _both(self, seed=19):
-        return np.random.Generator(np.random.PCG64(seed)), _Draws(np.random.PCG64(seed))
+        return np.random.Generator(np.random.PCG64(seed)), _Draws(_pcg64_chunks(seed))
 
     def test_interleaved_stream(self):
         rng, draws = self._both()
@@ -238,19 +264,46 @@ class TestDrawsMatchGenerator:
             assert rng.random() == draws.random()
 
     def test_reads_raw_words_a_chunk_at_a_time(self):
-        class Counted(object):
-            def __init__(self):
-                self.bit_generator, self.sizes = np.random.PCG64(5), []
+        next_chunk, sizes = _pcg64_chunks(5), []
 
-            def random_raw(self, size):
-                self.sizes.append(size)
-                return self.bit_generator.random_raw(size)
+        def counted():
+            words = next_chunk()
+            sizes.append(len(words))
+            return words
 
-        counted = Counted()
-        draws = _Draws(counted)
+        rng, draws = np.random.Generator(np.random.PCG64(5)), _Draws(counted)
         for _ in range(2 * _CHUNK_WORDS + 1):
-            draws.random()
-        assert counted.sizes == [_CHUNK_WORDS] * 3
+            assert rng.random() == draws.random()
+        assert sizes == [_CHUNK_WORDS] * 3
+
+
+class TestWordsMatchPCG64:
+    """``_pcg64_chunks(seed)`` gives ``PCG64(seed).random_raw``'s words."""
+
+    @staticmethod
+    def _chunks(seed, n_chunks=3):
+        next_chunk = _pcg64_chunks(seed)
+        return [word for _ in range(n_chunks) for word in next_chunk()]
+
+    # one 32-bit entropy word, the largest and the first two-word seeds, and
+    # seeds of more words than SeedSequence's pool of four holds
+    @pytest.mark.parametrize(
+        "seed", [0, 2**32 - 1, 2**32, 2**64 + 1, 2**128 + 3, 2**200], ids=str
+    )
+    def test_chunks_continue_the_stream(self, seed):
+        expected = np.random.PCG64(seed).random_raw(3 * _CHUNK_WORDS).tolist()
+        assert self._chunks(seed) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**256 - 1))
+    def test_any_seed_below_2_256(self, seed):
+        assert self._chunks(seed, 2) == np.random.PCG64(seed).random_raw(2 * _CHUNK_WORDS).tolist()
+
+    def test_negative_seed_refused_as_numpy_refuses(self):
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            np.random.PCG64(-1)
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            _pcg64_chunks(-1)
 
 
 class TestVanishingSecondCountry:
