@@ -634,7 +634,7 @@ def parse_csv(
 # writers
 
 
-_CHUNK_LINES = 4096
+_CHUNK_LINES = 1024
 """Lines a writer joins into one ``write`` call when it is given a stream."""
 
 _SURROGATE = re.compile("[\ud800-\udfff]")
