@@ -4,17 +4,17 @@ Generation is fully deterministic given the seed: the generator is
 numpy's PCG64 (a well-documented 64-bit PRNG with a reproducible stream
 across platforms), and every draw happens in a fixed order per record.
 
-Every draw reproduces numpy's ``Generator`` stream without
-``numpy.random``: :func:`_pcg64_chunks` computes PCG64's words a chunk at a
-time in numpy uint64 arithmetic, seeded as numpy seeds it, and each draw is
-derived from them in Python as numpy's C code derives it: ``random()`` from a word's top
-53 bits, ``integers`` by Lemire's bounded draw on 32-bit halves (a word's
-high half kept for the next such draw, as PCG64 keeps it), and the subject
-``choice(..., replace=False)`` by Floyd's sample and a shuffle (or, as
-numpy does for a pick of over a fiftieth of a pool of over 10,000 codes,
-by a shuffle of the pool's tail). The weighted country draws are a
-bisection of one ``random()`` draw against cumulative weights built once
-per call the way ``choice(..., p=...)`` builds them. Within one corpus,
+Every draw reproduces numpy's ``Generator`` stream without importing
+``numpy.random``. :func:`_pcg64_chunks` computes PCG64's words a chunk at a
+time in numpy uint64 arithmetic, seeded as numpy seeds them, and each draw
+is derived from them in Python as numpy's C code derives it: ``random()``
+from a word's top 53 bits, ``integers`` by Lemire's bounded draw on 32-bit
+halves (a word's high half kept for the next such draw, as PCG64 keeps it),
+and the subject ``choice(..., replace=False)`` by Floyd's sample and a
+shuffle (or, as numpy does for a pick of over a fiftieth of a pool of over
+10,000 codes, by a shuffle of the pool's tail). The weighted country draws
+are a bisection of one ``random()`` draw against cumulative weights built
+once per call the way ``choice(..., p=...)`` builds them. Within one corpus,
 authors with the same countries share one :class:`AuthorRef`, records
 whose authors have the same countries in the same order share one
 ``authors`` tuple, and records with the same subject pick share one
@@ -182,12 +182,13 @@ def _pcg64_chunks(seed: int) -> Callable[[], list[int]]:
         nonlocal state
         s_hi, s_lo = np.uint64(state >> 64), np.uint64(state & _MASK64)
         s_lo0, s_lo1 = s_lo & mask32, s_lo >> n32
-        # the low halves' 128-bit product from 32-bit partial products
-        low, cross0, cross1 = a_lo0 * s_lo0, a_lo0 * s_lo1, a_lo1 * s_lo0
-        mid = (low >> n32) + (cross0 & mask32) + (cross1 & mask32)
+        # the high half of the low halves' product, from 32-bit partial
+        # products whose sums stay below 2**64
+        t = a_lo1 * s_lo0 + ((a_lo0 * s_lo0) >> n32)
+        u = a_lo0 * s_lo1 + (t & mask32)
         product_lo = a_lo * s_lo
         lo = product_lo + c_lo
-        hi = a_lo1 * s_lo1 + (cross0 >> n32) + (cross1 >> n32) + (mid >> n32)
+        hi = a_lo1 * s_lo1 + (t >> n32) + (u >> n32)
         hi += a_hi * s_lo + a_lo * s_hi + c_hi + (lo < product_lo).astype(np.uint64)
         state = int(hi[-1]) << 64 | int(lo[-1])
         # XSL-RR: the halves' xor, rotated right by the state's top six bits
@@ -204,8 +205,8 @@ class _Draws(object):
     :func:`_pcg64_chunks` does, and each draw is made from them in Python
     the way numpy's C code makes it from the same words, so the values and
     the words they use are those of the ``Generator`` method each method
-    names. The words must start with the bit generator's first: numpy keeps
-    a half-used word in its state, and this object keeps its own.
+    names. The words must start at the stream's first: numpy keeps a
+    half-used word in its state, and this object keeps its own.
     """
 
     def __init__(self, next_chunk: Callable[[], list[int]]) -> None:
@@ -292,16 +293,19 @@ def iter_records(params: SynthParams) -> Iterator[PublicationRecord]:
         p = probs.tolist()
         total, lost = p[0], 0.0
         for x in p[1:]:
-            x -= lost
-            lost = (total + x - total) - x
-            total += x
+            y = x - lost
+            t = total + y
+            lost = (t - total) - y
+            total = t
         if total != total:
             raise ValueError("Probabilities contain NaN")
         if any(x < 0 for x in p):
             raise ValueError("Probabilities are not non-negative")
         if abs(total - 1.0) > 2.0**-26:  # the square root of float64's eps
-            raise ValueError("Probabilities do not sum to 1. See Notes section of docstring for "
-                             "more information.")
+            raise ValueError(
+                "Probabilities do not sum to 1. "
+                "See Notes section of docstring for more information."
+            )
         if params.collab_prob > 0 and np.count_nonzero(probs) < 2:
             # choice(size=2, replace=False, p=probs)'s refusal
             raise ValueError("Fewer non-zero entries in p than size")
