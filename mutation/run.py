@@ -309,6 +309,24 @@ MUTANTS = (
         ("tests/test_cli.py",),
     ),
     Mutant(
+        "synth: weights checked by their sum alone",
+        SYNTH,
+        (("        if not (all(x >= 0 for x in p) and abs(", "        if not (True and abs("),),
+        SYNTH_TESTS,
+    ),
+    Mutant(
+        "synth: weights checked by their signs alone",
+        SYNTH,
+        ((" and abs(sum(p) - 1.0) <= 2.0**-26):\n", "):\n"),),
+        SYNTH_TESTS,
+    ),
+    Mutant(
+        "synth: a negative seed is not handed to SeedSequence",
+        SYNTH,
+        (("    if seed < 0:\n        import numpy.random", "    if False:\n        import numpy.random"),),
+        SYNTH_TESTS,
+    ),
+    Mutant(
         "synth: PCG64's high half without the low half's carry",
         SYNTH,
         ((" + c_hi + (lo < product_lo).astype(np.uint64)\n", " + c_hi\n"),),

@@ -120,34 +120,30 @@ _MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's multiplier
 
 
-def _hasher(const: int, mult: int) -> Callable[[int], int]:
-    # SeedSequence's hash of a 32-bit word, stepping its constant on each call
-    def hash_word(value: int) -> int:
-        nonlocal const
-        value ^= const
-        const = const * mult & _MASK32
-        value = value * const & _MASK32
-        return value ^ value >> 16
-
-    return hash_word
-
-
 def _seed_words(seed: int) -> list[int]:
     """``SeedSequence(seed).generate_state(4, np.uint64)``, in Python ints."""
     seed = operator.index(seed)
     if seed < 0:
-        raise ValueError("expected non-negative integer")
-    entropy = [seed & _MASK32]  # the seed's 32-bit words, lowest first
-    while seed := seed >> 32:
-        entropy.append(seed & _MASK32)
-    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
-    # four hashed words, then each mixed into the others, then each further word into all
-    words = [hashmix(word) for word in (entropy + [0, 0, 0])[:4]] + entropy[4:]
-    for src, dst in chain(permutations(range(4), 2), product(range(4, len(words)), range(4))):
-        mixed = (0xCA01F9DD * words[dst] - 0x4973F715 * hashmix(words[src])) & _MASK32
-        words[dst] = mixed ^ mixed >> 16
-    # eight hashed words, cycling the pool, paired little-endian into four
-    halves = list(map(_hasher(0x8B51F9DD, 0x58F38DED), words[:4] * 2))
+        import numpy.random  # SeedSequence refuses it, in the installed numpy's words
+        numpy.random.SeedSequence(seed)
+    # the seed's 32-bit words, lowest first
+    entropy = [seed >> i & _MASK32 for i in range(0, max(seed.bit_length(), 1), 32)]
+    # the pool: four words hashed in place, each mixed into the others, then
+    # each further word into all four; each hash steps the hash constant
+    words, const = (entropy + [0, 0, 0])[:4] + entropy[4:], 0x43B0D7E5
+    extra = product(range(4, len(words)), range(4))
+    for src, dst in chain(zip(range(4), range(4)), permutations(range(4), 2), extra):
+        value = (words[src] ^ const) * (const := const * 0x931E8875 & _MASK32) & _MASK32
+        value ^= value >> 16
+        if src != dst:
+            value = (0xCA01F9DD * words[dst] - 0x4973F715 * value) & _MASK32
+            value ^= value >> 16
+        words[dst] = value
+    # eight words hashed from the pool, cycling it, paired little-endian into four
+    halves, const = [], 0x8B51F9DD
+    for value in words[:4] * 2:
+        value = (value ^ const) * (const := const * 0x58F38DED & _MASK32) & _MASK32
+        halves.append(value ^ value >> 16)
     return [halves[i] | halves[i + 1] << 32 for i in range(0, 8, 2)]
 
 
@@ -164,15 +160,11 @@ def _pcg64_chunks(seed: int) -> Callable[[], list[int]]:
     # PCG64's srandom: a step from 0 by the odd increment, add the seed, a step
     inc = ((key[2] << 64 | key[3]) << 1 | 1) & _MASK128
     state = (((key[0] << 64 | key[1]) + inc) * _PCG_MULT + inc) & _MASK128
-    steps = [(1, 0)]  # (A_k, C_k)
+    a, c, steps = 1, 0, []  # A_k, C_k
     for _ in range(_CHUNK_WORDS):
-        a, c = steps[-1]
-        steps.append((a * _PCG_MULT & _MASK128, (c * _PCG_MULT + inc) & _MASK128))
-    a_hi, a_lo, c_hi, c_lo = (
-        np.array([step[i] >> shift & _MASK64 for step in steps[1:]], dtype=np.uint64)
-        for i in (0, 1)
-        for shift in (64, 0)
-    )
+        a, c = a * _PCG_MULT & _MASK128, (c * _PCG_MULT + inc) & _MASK128
+        steps.append((a >> 64, a & _MASK64, c >> 64, c & _MASK64))
+    a_hi, a_lo, c_hi, c_lo = np.array(list(zip(*steps)), dtype=np.uint64)
     # every operand is a uint64 array or np.uint64 scalar: a Python int promotes
     # differently across numpy versions, and a wrapping scalar product warns
     mask32, n32, n58, n63 = (np.uint64(v) for v in (_MASK32, 32, 58, 63))
@@ -182,8 +174,7 @@ def _pcg64_chunks(seed: int) -> Callable[[], list[int]]:
         nonlocal state
         s_hi, s_lo = np.uint64(state >> 64), np.uint64(state & _MASK64)
         s_lo0, s_lo1 = s_lo & mask32, s_lo >> n32
-        # the high half of the low halves' product, from 32-bit partial
-        # products whose sums stay below 2**64
+        # the high half of a_lo * s_lo, from 32-bit partial products
         t = a_lo1 * s_lo0 + ((a_lo0 * s_lo0) >> n32)
         u = a_lo0 * s_lo1 + (t & mask32)
         product_lo = a_lo * s_lo
@@ -288,24 +279,14 @@ def iter_records(params: SynthParams) -> Iterator[PublicationRecord]:
     weights = np.array([params.country_weights[c] for c in countries], dtype=float)
     probs = weights / weights.sum()
     if params.n_records:
-        # the refusals of the Generator.choice(..., p=probs) calls the draws
-        # below replace, in choice's order and words: its Kahan sum first
+        # Generator.choice refuses a NaN sum, a negative entry and a sum more
+        # than sqrt(eps) from 1; weights over their sum miss 1 by ulps or by
+        # far, so a plain sum decides as choice's Kahan sum does. Only weights
+        # it refuses import numpy.random, so its texts are the installed numpy's
         p = probs.tolist()
-        total, lost = p[0], 0.0
-        for x in p[1:]:
-            y = x - lost
-            t = total + y
-            lost = (t - total) - y
-            total = t
-        if total != total:
-            raise ValueError("Probabilities contain NaN")
-        if any(x < 0 for x in p):
-            raise ValueError("Probabilities are not non-negative")
-        if abs(total - 1.0) > 2.0**-26:  # the square root of float64's eps
-            raise ValueError(
-                "Probabilities do not sum to 1. "
-                "See Notes section of docstring for more information."
-            )
+        if not (all(x >= 0 for x in p) and abs(sum(p) - 1.0) <= 2.0**-26):
+            import numpy.random
+            numpy.random.Generator(numpy.random.PCG64(0)).choice(len(p), p=probs)
         if params.collab_prob > 0 and np.count_nonzero(probs) < 2:
             # choice(size=2, replace=False, p=probs)'s refusal
             raise ValueError("Fewer non-zero entries in p than size")
