@@ -323,13 +323,13 @@ MUTANTS = (
     Mutant(
         "synth: a negative seed is not handed to SeedSequence",
         SYNTH,
-        (("    if seed < 0:\n        import numpy.random", "    if False:\n        import numpy.random"),),
+        (("    if (seed := operator.index(seed)) < 0:\n", "    if (seed := operator.index(seed)) < 0 and False:\n"),),
         SYNTH_TESTS,
     ),
     Mutant(
         "synth: PCG64's high half without the low half's carry",
         SYNTH,
-        ((" + c_hi + (lo < product_lo).astype(np.uint64)\n", " + c_hi\n"),),
+        ((" + c_hi + (lo < c_lo).astype(np.uint64)\n", " + c_hi\n"),),
         SYNTH_TESTS,
     ),
     Mutant(

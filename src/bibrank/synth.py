@@ -4,21 +4,20 @@ Generation is fully deterministic given the seed: the generator is
 numpy's PCG64 (a well-documented 64-bit PRNG with a reproducible stream
 across platforms), and every draw happens in a fixed order per record.
 
-Every draw reproduces numpy's ``Generator`` stream without importing
-``numpy.random``. :func:`_pcg64_chunks` computes PCG64's words a chunk at a
-time in numpy uint64 arithmetic, seeded as numpy seeds them, and each draw
-is derived from them in Python as numpy's C code derives it: ``random()``
-from a word's top 53 bits, ``integers`` by Lemire's bounded draw on 32-bit
-halves (a word's high half kept for the next such draw, as PCG64 keeps it),
-and the subject ``choice(..., replace=False)`` by Floyd's sample and a
-shuffle (or, as numpy does for a pick of over a fiftieth of a pool of over
-10,000 codes, by a shuffle of the pool's tail). The weighted country draws
-are a bisection of one ``random()`` draw against cumulative weights built
-once per call the way ``choice(..., p=...)`` builds them. Within one corpus,
-authors with the same countries share one :class:`AuthorRef`, records
-whose authors have the same countries in the same order share one
-``authors`` tuple, and records with the same subject pick share one
-subject set; all are immutable, so the sharing is safe.
+Every draw reproduces numpy's ``Generator`` stream from PCG64's words, which
+:func:`_pcg64_chunks` computes a chunk at a time in numpy uint64 arithmetic,
+without ``numpy.random``. Each draw is derived from them as numpy's C code
+derives it: ``random()`` from a word's top 53 bits, ``integers`` by Lemire's
+bounded draw on 32-bit halves (a word's high half kept for the next such draw,
+as PCG64 keeps it), and the subject ``choice(..., replace=False)`` by Floyd's
+sample and a shuffle (or, as numpy does for a pick of over a fiftieth of a pool
+of over 10,000 codes, by a shuffle of the pool's tail). The weighted country
+draws bisect one ``random()`` draw against cumulative weights built once per
+call as ``choice(..., p=...)`` builds them. Within one corpus, authors with the
+same countries share one :class:`AuthorRef`, records whose authors have the
+same countries in the same order share one ``authors`` tuple, and records with
+the same subject pick share one subject set; all are immutable, so the sharing
+is safe.
 
 Each record flips one biased coin for "international". A domestic record
 draws one country and gives it to every author. An international record
@@ -122,8 +121,7 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's multiplier
 
 def _seed_words(seed: int) -> list[int]:
     """``SeedSequence(seed).generate_state(4, np.uint64)``, in Python ints."""
-    seed = operator.index(seed)
-    if seed < 0:
+    if (seed := operator.index(seed)) < 0:
         import numpy.random  # SeedSequence refuses it, in the installed numpy's words
         numpy.random.SeedSequence(seed)
     # the seed's 32-bit words, lowest first
@@ -151,8 +149,8 @@ def _pcg64_chunks(seed: int) -> Callable[[], list[int]]:
     """Each call returns the next ``PCG64(seed).random_raw(_CHUNK_WORDS)`` as a list.
 
     PCG64 steps its 128-bit state ``s`` to ``s * M + inc`` and outputs the new
-    state's XSL-RR word; ``k`` steps give ``A_k * s + C_k`` mod 2**128, so a
-    chunk is that map for k = 1 .. _CHUNK_WORDS on uint64 halves.
+    state's XSL-RR word; a chunk is ``A_k * s + C_k`` mod 2**128, the state
+    after k steps, for k = 1 .. _CHUNK_WORDS, on uint64 halves.
     """
     import numpy as np
 
@@ -165,8 +163,7 @@ def _pcg64_chunks(seed: int) -> Callable[[], list[int]]:
         a, c = a * _PCG_MULT & _MASK128, (c * _PCG_MULT + inc) & _MASK128
         steps.append((a >> 64, a & _MASK64, c >> 64, c & _MASK64))
     a_hi, a_lo, c_hi, c_lo = np.array(list(zip(*steps)), dtype=np.uint64)
-    # every operand is a uint64 array or np.uint64 scalar: a Python int promotes
-    # differently across numpy versions, and a wrapping scalar product warns
+    # uint64 operands only: Python ints promote per numpy version, a wrapping scalar product warns
     mask32, n32, n58, n63 = (np.uint64(v) for v in (_MASK32, 32, 58, 63))
     a_lo0, a_lo1 = a_lo & mask32, a_lo >> n32
 
@@ -177,10 +174,9 @@ def _pcg64_chunks(seed: int) -> Callable[[], list[int]]:
         # the high half of a_lo * s_lo, from 32-bit partial products
         t = a_lo1 * s_lo0 + ((a_lo0 * s_lo0) >> n32)
         u = a_lo0 * s_lo1 + (t & mask32)
-        product_lo = a_lo * s_lo
-        lo = product_lo + c_lo
+        lo = a_lo * s_lo + c_lo  # wrapped past 2**64 where it fell below c_lo
         hi = a_lo1 * s_lo1 + (t >> n32) + (u >> n32)
-        hi += a_hi * s_lo + a_lo * s_hi + c_hi + (lo < product_lo).astype(np.uint64)
+        hi += a_hi * s_lo + a_lo * s_hi + c_hi + (lo < c_lo).astype(np.uint64)
         state = int(hi[-1]) << 64 | int(lo[-1])
         # XSL-RR: the halves' xor, rotated right by the state's top six bits
         x, rot = hi ^ lo, hi >> n58
@@ -279,10 +275,8 @@ def iter_records(params: SynthParams) -> Iterator[PublicationRecord]:
     weights = np.array([params.country_weights[c] for c in countries], dtype=float)
     probs = weights / weights.sum()
     if params.n_records:
-        # Generator.choice refuses a NaN sum, a negative entry and a sum more
-        # than sqrt(eps) from 1; weights over their sum miss 1 by ulps or by
-        # far, so a plain sum decides as choice's Kahan sum does. Only weights
-        # it refuses import numpy.random, so its texts are the installed numpy's
+        # choice's checks (weights over their sum miss 1 by ulps or by far, so a
+        # plain sum decides as its Kahan sum does); numpy raises its own refusal
         p = probs.tolist()
         if not (all(x >= 0 for x in p) and abs(sum(p) - 1.0) <= 2.0**-26):
             import numpy.random
