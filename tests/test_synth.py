@@ -226,6 +226,11 @@ class TestGeneratorGate:
         assert re.fullmatch("(?i)probabilities are not non-negative", outcome)
         assert outcome == _outcome(oracle_generate, params)
 
+    def test_seed_must_be_an_integer(self):
+        # numpy's PCG64 also takes a sequence of ints; synth seeds from one int
+        with pytest.raises(TypeError):
+            generate(SynthParams(seed=[1, 2], n_records=2))
+
 
 def _outcome(build, params):
     """The JSONL ``build(params)`` writes, or the text of its ``ValueError``."""
