@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import bibrank
-from bibrank import cli
+from bibrank import cli, ingest
 from bibrank.cli import run
 from bibrank.ingest import _CHUNK_LINES, to_csv, to_jsonl
 from bibrank.model import Corpus, DocType
@@ -1020,6 +1020,36 @@ def _last_first(text: str, fmt: str) -> str:
     return "".join(head + body[1:] + body[:1])
 
 
+def _swapped(text: str, fmt: str) -> str:
+    """``text`` with the records three quarters of the way in swapped, so
+    that one id in the middle does not increase."""
+    lines = text.splitlines(keepends=True)
+    i = (len(lines) - (fmt == "csv")) * 3 // 4
+    lines[i], lines[i + 1] = lines[i + 1], lines[i]
+    return "".join(lines)
+
+
+def _dirty_texts(corpus: Corpus) -> dict[str, str]:
+    """The corpus in both formats with rows made dirty but valid, so that
+    pieces that repeat carry warnings: unknown doc types, missing years, and
+    an unknown country beside an unresolved author."""
+    lines = to_jsonl(corpus).splitlines()
+    header, *rows = to_csv(corpus).splitlines()
+    for i, row in enumerate(rows):
+        cells = row.split(",")  # the random corpus quotes no cell
+        if i % 9 == 0:
+            lines[i] = lines[i].replace(f'"doc_type":"{cells[2]}"', '"doc_type":"letter"')
+            cells[2] = "letter"
+        if i % 10 == 3:
+            lines[i] = lines[i].replace(f'"year":{cells[1]},', "")
+            cells[1] = ""
+        if i % 8 == 5:
+            lines[i] = lines[i].split(',"authors":')[0] + ',"authors":[{"countries":["Atlantis"]},{"countries":[]}]}'
+            cells[4] = "Atlantis|ZZ"
+        rows[i] = ",".join(cells)
+    return {"jsonl": "".join(line + "\n" for line in lines), "csv": "".join(r + "\n" for r in [header, *rows])}
+
+
 class TestStreamedInput:
     """count, rank, subjects, correlate and collab count a regular file as
     they read it. A file whose ids stop increasing is read again into a
@@ -1036,10 +1066,15 @@ class TestStreamedInput:
         ["collab", "--mode", "country"],
     ]
 
-    @pytest.fixture
-    def texts(self):
-        corpus = random_corpus(random.Random(31), 400)
-        return {"jsonl": to_jsonl(corpus), "csv": to_csv(corpus)}
+    # 400 records fill no list the parse hands the walk; the dirty corpus
+    # fills two and leaves a partial one, and its pieces repeat with warnings
+    @pytest.fixture(params=["random-400", "dirty-2200"])
+    def texts(self, request):
+        if request.param == "random-400":
+            corpus = random_corpus(random.Random(31), 400)
+            return {"jsonl": to_jsonl(corpus), "csv": to_csv(corpus)}
+        assert 2200 > 2 * ingest._FEED_RECORDS
+        return _dirty_texts(random_corpus(random.Random(37), 2200))
 
     @staticmethod
     def _parses(monkeypatch, fmt):
@@ -1054,24 +1089,25 @@ class TestStreamedInput:
         monkeypatch.setattr(cli, name, counted)
         return calls
 
+    @pytest.mark.parametrize("reorder", [_last_first, _swapped], ids=lambda f: f.__name__.strip("_"))
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
-    def test_last_line_out_of_order_reads_again(
-        self, capsys, monkeypatch, tmp_path, scheme_file, texts, fmt, argv
+    def test_an_id_out_of_order_reads_again(
+        self, capsys, monkeypatch, tmp_path, scheme_file, texts, fmt, argv, reorder
     ):
-        ordered, last_first = tmp_path / f"ordered.{fmt}", tmp_path / f"last_first.{fmt}"
+        ordered, reordered = tmp_path / f"ordered.{fmt}", tmp_path / f"reordered.{fmt}"
         ordered.write_text(texts[fmt], encoding="utf-8")
-        last_first.write_text(_last_first(texts[fmt], fmt), encoding="utf-8")
+        reordered.write_text(reorder(texts[fmt], fmt), encoding="utf-8")
         argv = [*argv, "--scheme", scheme_file, "--input"]
         calls = self._parses(monkeypatch, fmt)
         code, streamed, _ = invoke(capsys, *argv, str(ordered))
         assert (code, calls) == (0, [True])
         calls.clear()
-        code, again, _ = invoke(capsys, *argv, str(last_first))
+        code, again, _ = invoke(capsys, *argv, str(reordered))
         assert (code, calls) == (0, [True, False])
         assert again == streamed
         calls.clear()
-        with open(last_first, encoding="utf-8") as fake_stdin:
+        with open(reordered, encoding="utf-8") as fake_stdin:
             monkeypatch.setattr("sys.stdin", fake_stdin)
             code, from_stdin, _ = invoke(capsys, *argv, "-")
         assert (code, calls) == (0, [False])

@@ -596,6 +596,50 @@ class TestReferenceParserEquivalence:
         text = newline.join(lines)
         assert_same_parse(parse_jsonl(text), oracle_parse_jsonl(text))
 
+    # each line holds its id, then a fields piece and an authors piece that
+    # the lines before it already hold: every case follows a hit
+    _WARNED_FIELDS = ',"year":2016,"doc_type":"letter","subjects":["PHYS"]'
+    _NO_YEAR_FIELDS = ',"doc_type":"article","subjects":["BIO"]'
+    _WARNED_AUTHORS = ',"authors":[{"countries":["Atlantis"]},{"countries":[]}]}'
+    _CLEAN_AUTHORS = ',"authors":[{"countries":["US"]}]}'
+
+    @pytest.mark.parametrize(
+        "ids, fields, authors",
+        [
+            pytest.param(["a", "b", "c"], _WARNED_FIELDS, _WARNED_AUTHORS, id="both-pieces-warn"),
+            pytest.param(["a", "b", "c"], _WARNED_FIELDS, _CLEAN_AUTHORS, id="fields-warn"),
+            pytest.param(["a", "b", "c"], _NO_YEAR_FIELDS, _WARNED_AUTHORS, id="missing-year"),
+            pytest.param(["a", " b ", "\tc"], _WARNED_FIELDS, _WARNED_AUTHORS, id="padded-ids"),
+            pytest.param(["a", "b", "b"], _WARNED_FIELDS, _WARNED_AUTHORS, id="equal-id"),
+            pytest.param(["a", "b", " b"], _NO_YEAR_FIELDS, _CLEAN_AUTHORS, id="equal-padded-id"),
+            pytest.param(["a", "c", "b", "d"], _WARNED_FIELDS, _WARNED_AUTHORS, id="lower-id"),
+            pytest.param(["a", "c", "a", "d"], _NO_YEAR_FIELDS, _WARNED_AUTHORS, id="lower-repeat"),
+            pytest.param(["b", "c", " ", "a", "d"], _WARNED_FIELDS, _CLEAN_AUTHORS, id="blank-id"),
+        ],
+    )
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_jsonl_lines_whose_pieces_are_known(self, ids, fields, authors, newline):
+        lines = ['{"id":"' + rec_id + '"' + fields + authors for rec_id in ids]
+        text = newline.join(lines)
+        assert_same_parse(parse_jsonl(text), oracle_parse_jsonl(text))
+        as_file = [line + newline for line in lines]
+        assert_same_parse(parse_jsonl(as_file), oracle_parse_jsonl(as_file))
+
+    def test_jsonl_known_pieces_report_their_warnings_in_place(self):
+        # the missing year is checked after the authors, so it comes first;
+        # then the fields' warnings, then the authors'
+        fields = ',"doc_type":"letter","subjects":["PHYS"]'
+        lines = ['{"id":"' + rec_id + '"' + fields + self._WARNED_AUTHORS for rec_id in ("a", " b")]
+        corpus, report = parse_jsonl("\n".join(lines))
+        assert [(r.id, r.year) for r in corpus.records] == [("a", 0), ("b", 0)]
+        for rec_id in ("a", "b"):
+            assert [m for ref, m in report.warnings if ref == rec_id] == [
+                "missing year; defaulting to 0",
+                "unknown doc_type 'letter'; treated as 'other'",
+                "country 'Atlantis' is not a recognized name or two-letter code",
+                "author with no resolvable country; credited to ZZ",
+            ]
+
     @pytest.mark.parametrize("row", CSV_GRID)
     def test_csv_row(self, row):
         text = "id,year,doc_type,subjects,author_countries\n" + row
