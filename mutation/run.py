@@ -161,8 +161,8 @@ MUTANTS = (
         INGEST,
         (
             (
-                "    fields = batch.fields.get(fields_piece)\n",
-                "    fields = batch.fields.get(fields_piece[:2] if year_first else fields_piece)\n",
+                "        known = batch.fields.get(fields), batch.author_texts.get(authors)\n",
+                "        known = batch.fields.get(fields[:2]), batch.author_texts.get(authors)\n",
             ),
             (
                 "        batch.fields[fields_piece] = fields\n",
@@ -209,6 +209,51 @@ MUTANTS = (
         IO_TESTS,
     ),
     Mutant(
+        "ingest: the known-line path accepts an equal id",
+        INGEST,
+        (
+            (
+                "                if (rec_id := compact[0].strip()) > batch.last_id:\n",
+                "                if (rec_id := compact[0].strip()) >= batch.last_id:\n",
+            ),
+        ),
+        IO_TESTS,
+    ),
+    Mutant(
+        "ingest: the known-line path drops the pieces' warnings",
+        INGEST,
+        (
+            (
+                "                    batch.accept(rec_id, fields[0], fields, taken)\n",
+                "                    batch.accept(rec_id, fields[0], (*fields[:3], ()), (taken[0], ()))\n",
+            ),
+        ),
+        IO_TESTS,
+    ),
+    Mutant(
+        "ingest: the known-line path takes a memoized missing year",
+        INGEST,
+        (("fields[0].__class__ is int and ", ""),),
+        IO_TESTS,
+    ),
+    Mutant(
+        "ingest: the known-line path accepts a padded id",
+        INGEST,
+        (
+            (
+                "                    batch.accept(rec_id, fields[0], fields, taken)\n",
+                "                    batch.accept(compact[0], fields[0], fields, taken)\n",
+            ),
+        ),
+        IO_TESTS,
+    ),
+    Mutant(
+        "ingest: finish keeps the last partial list from the sink",
+        INGEST,
+        (("        if self.sink is not None:  # the last partial list; the corpus is left empty\n", "        if False:\n"),),
+        COUNTING_TESTS + ("tests/test_cli.py",),
+    ),
+    Mutant(
         "ingest: name a pre-id reject by the previous number",
         INGEST,
         (
@@ -235,8 +280,8 @@ MUTANTS = (
         INGEST,
         (
             (
-                "(year_set is None or r.year in year_set)",
-                "(year_set is None or min(year_set) <= r.year <= max(year_set))",
+                "(year_set is None or c[0] in year_set)",
+                "(year_set is None or min(year_set) <= c[0] <= max(year_set))",
             ),
         ),
         IO_TESTS,
@@ -395,7 +440,7 @@ MUTANTS = (
     Mutant(
         "counting: drop the id sort in _sweep",
         "bibrank/counting.py",
-        (("    walk.feed(corpus._by_id)\n", "    walk.feed(corpus.records)\n"),),
+        (("    records = corpus._by_id  #", "    records = corpus.records  #"),),
         COUNTING_TESTS,
     ),
     Mutant(
@@ -424,6 +469,12 @@ MUTANTS = (
         "counting: a record's kind goes to every group's list",
         "bibrank/counting.py",
         (("                if codes is None or not codes.isdisjoint(subjects)\n", "                if True\n"),),
+        COUNTING_TESTS,
+    ),
+    Mutant(
+        "counting: the walk reads the doc type's slot as the subjects",
+        "bibrank/counting.py",
+        (("        for _, _, subjects, authors in records:\n", "        for _, subjects, _, authors in records:\n"),),
         COUNTING_TESTS,
     ),
     Mutant(

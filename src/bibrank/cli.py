@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import sys
 from dataclasses import fields
 from functools import partial
@@ -55,7 +56,7 @@ from .ingest import (
     to_csv,
     to_jsonl,
 )
-from .model import ALL_FIELDS, Corpus, DocType, SubjectScheme, EMPTY_SCHEME
+from .model import ALL_FIELDS, Corpus, DocType, SubjectScheme, EMPTY_SCHEME, _counted
 from .rankstats import assign_ranks, correlation_matrix, pearson, srcc_matrix
 from .synth import SynthParams, iter_records
 from .synth import generate  # noqa: F401 - perfbench wraps it here
@@ -246,7 +247,7 @@ def _count_tables(
             f"{len(report.errors)} record error(s) in {args.input}; "
             "run 'bibrank ingest' for the full report"
         )
-    walk.feed(filter(keep, corpus._by_id))
+    walk.feed(filter(keep, map(_counted, corpus._by_id)))  # empty when the file streamed
     return walk.credit()
 
 
@@ -468,13 +469,17 @@ def _parse_weights(arg: str) -> dict[str, float]:
         if not sep:
             raise UsageError(f"--countries expects CODE:WEIGHT pairs, got {tok!r}")
         try:
-            weights[code.strip()] = float(value)
+            weights[code.strip()] = weight = float(value)
         except ValueError:
+            weight = math.nan
+        if not math.isfinite(weight):
             raise UsageError(f"bad weight {value!r} for {code.strip()!r}")
     return weights
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
     given = vars(args)
     if "countries" in given:
         given["country_weights"] = _parse_weights(args.countries)

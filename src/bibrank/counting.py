@@ -27,14 +27,16 @@ table (``ALL`` and any subject groups); unknown group names raise before
 any record is counted.
 
 A sweep has two phases and drops everything it built on return. The walk
-is fed records in id order, from a corpus or in lists straight from the
-parser as the command line reads a file, and holds no record. It
-gives each record a kind, the index of its ``authors`` tuple by identity
-(ingest and ``generate`` share one tuple between records with the same
-author list), and appends that kind to the list of every group the record
-belongs to. A kind is priced at its first record: its fractional-author
-shares from its authors' country sets, the other methods' by its country
-union and whether any author is unresolved. A hand-built corpus that
+is fed records in id order, each as the plain tuple a parse given a sink
+hands on (year, doc type, subject set and authors tuple): in lists straight
+from the parser as the command line reads a file, which builds no record,
+or mapped from a corpus. It holds no record. It gives each record a kind,
+the index of its ``authors`` tuple by identity (ingest and ``generate``
+share one tuple between records with the same author list), and appends
+that kind to the list of every group the record belongs to. A kind is
+priced at its first record: its fractional-author shares from its authors'
+country sets, the other methods' by its country union and whether any
+author is unresolved. A hand-built corpus that
 shares no tuple is counted the same, with one kind per record. Group
 membership is memoized per subject set, so subjects must be hashable, as
 the frozenset that ``PublicationRecord`` declares is. The credit phase then
@@ -51,10 +53,13 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from math import lcm
+from operator import attrgetter
 from typing import Iterable, Mapping
 
-from .model import ALL_FIELDS, Corpus, PublicationRecord, SubjectScheme, UNRESOLVED, countries_of
+from .model import ALL_FIELDS, Corpus, SubjectScheme, UNRESOLVED, _Counted
+from .model import countries_of  # noqa: F401 - perfbench counts calls through it here
 
 
 class CountMethod(enum.Enum):
@@ -102,6 +107,7 @@ class ScoreTable(object):
 
 _ICP = "icp"  # the key under which _sweep counts international records
 _Shares = dict[str, float]
+_SUBJECTS, _AUTHORS = attrgetter("subjects"), attrgetter("authors")
 
 
 def _is_international(countries: frozenset[str]) -> bool:
@@ -164,12 +170,11 @@ class _Walk(object):
         self.kinds: list[list[int]] = [[] for _ in self.names]
         self.by_subjects: dict[frozenset[str], list[list[int]]] = {}
 
-    def feed(self, records: Iterable[PublicationRecord]) -> None:
+    def feed(self, records: Iterable[_Counted]) -> None:
         kind_of, by_subjects = self.kind_of, self.by_subjects
         needs_author = CountMethod.FRACTIONAL_AUTHOR in self.methods
         needs_union = self.methods != [CountMethod.FRACTIONAL_AUTHOR]
-        for record in records:
-            authors, subjects = record.authors, record.subjects
+        for _, _, subjects, authors in records:
             kind = kind_of.get(id(authors))
             if kind is None:
                 kind = kind_of[id(authors)] = len(kind_of)
@@ -178,7 +183,7 @@ class _Walk(object):
                 if needs_author:
                     self.author_shares.append(_fractional_author_shares(pattern))
                 if needs_union:
-                    key = countries_of(record), not all(pattern)
+                    key = frozenset().union(*pattern), not all(pattern)
                     u = self.by_union.get(key)
                     if u is None:
                         u = self.by_union[key] = len(self.per_union)
@@ -230,7 +235,8 @@ def _sweep(
     """Count each of ``methods`` (``_ICP`` too) for each group (None: ``ALL``
     and every scheme group), walking the corpus in id order."""
     walk = _Walk(corpus.scheme, methods, groups)
-    walk.feed(corpus._by_id)
+    records = corpus._by_id  # the walk reads no year or doc type, and zip reuses its tuple
+    walk.feed(zip(repeat(None), repeat(None), map(_SUBJECTS, records), map(_AUTHORS, records)))
     return walk.credit()
 
 

@@ -35,7 +35,9 @@ pieces are decoded into the JSONL object shape by their format's decoders.
 The checker checks the id, then the year and the authors, then the
 subjects, in that order whether the pieces are known or new. CSV checks
 the year before the authors and JSONL after them, so only a CSV row warns
-for a missing year when its authors are then rejected.
+for a missing year when its authors are then rejected. A JSONL line with an
+id in order and both pieces known, its year an int, skips the checks it would
+pass. A parse given the private sink builds no record and returns an empty corpus.
 
 A CSV row's pieces are its stripped ``(year, doc_type, subjects)`` cells
 and its stripped ``author_countries`` cell. A JSONL line in the compact
@@ -87,6 +89,7 @@ from .model import (
     PublicationRecord,
     SubjectScheme,
     UNRESOLVED,
+    _Counted,
     is_country_code,
     normalize_country,
 )
@@ -202,19 +205,19 @@ class _Batch(object):
     order, in which that id and every later one is looked up. A rejected
     record's id is neither ``last_id`` nor a key. A reject given no id
     names the ``unit`` and ``number`` of the line or row that the parse
-    loop is reading. Given a ``sink``, ``records`` goes to it each time it
-    fills to ``_FEED_RECORDS``, then empties; an id not greater raises ``_Unordered``.
+    loop is reading. Given a ``sink``, ``records`` holds ``_Counted`` tuples and
+    goes to it at each ``_FEED_RECORDS`` and at the end; an id not greater raises ``_Unordered``.
 
     Each parse creates its own batch and drops it on return, so no two
     parses share a memo. Interned values are immutable, so sharing one
     ``AuthorRef``, ``authors`` tuple or subject set between records is safe.
     """
 
-    def __init__(self, unit: str, sink: Callable[[list[PublicationRecord]], object] | None) -> None:
+    def __init__(self, unit: str, sink: Callable[[list[_Counted]], object] | None) -> None:
         self.report = ValidationReport()
         self.unit = unit
         self.number = 0
-        self.records: list[PublicationRecord] = []
+        self.records: list[Any] = []
         self.sink = sink
         self.last_id = ""
         self.by_id: dict[str, PublicationRecord] | None = None
@@ -240,9 +243,30 @@ class _Batch(object):
         self.report.errors.append((ref, message))
         self.report.records_rejected += 1
 
+    def accept(self, rec_id: str, year: int, fields: _Fields, taken: _Authors) -> None:
+        """Report a checked record's warnings, then add it, or its tuple for a sink."""
+        _, doc_type, subjects, warnings = fields
+        for message in warnings + taken[1]:
+            self.report.warnings.append((rec_id, message))
+        self.report.records_accepted += 1
+        if self.by_id is not None:
+            self.by_id[rec_id] = PublicationRecord(rec_id, year, doc_type, subjects, taken[0])
+        elif self.sink is None:
+            self.records.append(PublicationRecord(rec_id, year, doc_type, subjects, taken[0]))
+            self.last_id = rec_id
+        else:
+            self.records.append((year, doc_type, subjects, taken[0]))
+            self.last_id = rec_id
+            if len(self.records) == _FEED_RECORDS:
+                self.sink(self.records)
+                self.records.clear()
+
     def finish(
         self, scheme: SubjectScheme | None, provenance: str
     ) -> tuple[Corpus, ValidationReport]:
+        if self.sink is not None:  # the last partial list; the corpus is left empty
+            self.sink(self.records)
+            self.records.clear()
         records = tuple(self.records if self.by_id is None else self.by_id.values())
         order = records if self.by_id is None else None  # ids proven in order and unique
         self.records.clear()
@@ -365,7 +389,7 @@ def _take_record(
     rec_id = _take_id(raw_id, batch)
     if rec_id is None:
         return None
-    year, doc_type, subjects, warnings = fields
+    year, _, subjects, _ = fields
     # an int year passes; any other warns or rejects where its format checks it
     if year_first and year.__class__ is not int:
         if (year := _take_year(year, rec_id, batch)) is None:
@@ -377,19 +401,7 @@ def _take_record(
     if subjects is None:
         batch.reject(rec_id, "subjects must be a list of strings")
         return None
-    report = batch.report
-    for message in warnings + taken[1]:
-        report.warnings.append((rec_id, message))
-    record = PublicationRecord(rec_id, year, doc_type, subjects, taken[0])
-    if batch.by_id is None:
-        batch.records.append(record)
-        batch.last_id = rec_id
-        if batch.sink is not None and len(batch.records) == _FEED_RECORDS:
-            batch.sink(batch.records)
-            batch.records.clear()
-    else:
-        batch.by_id[rec_id] = record
-    report.records_accepted += 1
+    batch.accept(rec_id, year, fields, taken)
     return taken
 
 
@@ -490,22 +502,22 @@ def _take_compact(
     rec_id: str,
     fields_piece: Any,
     authors_piece: str,
-    decode_fields: Callable[[Any], dict[str, Any] | None],
-    decode_authors: Callable[[str], tuple[Any] | None],
+    fields: _Fields | None,
+    taken: _Authors | None,
+    decode_fields: Callable[[Any], dict[str, Any] | None] = _decode_fields,
+    decode_authors: Callable[[str], tuple[Any] | None] = _decode_authors,
     year_first: bool = False,
 ) -> bool:
     """Read a record from its id, fields piece and authors piece and check
     it with :func:`_take_record`; False when the pieces do not decode.
 
-    A piece that an accepted record of this parse already held is not
-    decoded again. ``decode_fields`` gives the object of the record's
-    fields and ``decode_authors`` ``(author list,)``. For a compact JSONL
-    line, pieces that decode make the line valid JSON with the same object
-    ``json.loads`` gives, duplicate keys included; the caller decodes a line
-    whose pieces do not, so every error is the one ``json.loads`` raises.
+    ``fields`` and ``taken`` are what ``batch`` holds for the pieces; a piece
+    it does not hold (None) is decoded: ``decode_fields`` gives the object of
+    the record's fields and ``decode_authors`` ``(author list,)``. For a
+    compact JSONL line, pieces that decode make the line valid JSON with the
+    same object ``json.loads`` gives, duplicate keys included; the caller
+    decodes a line whose pieces do not, so every error is the one it raises.
     """
-    fields = batch.fields.get(fields_piece)
-    taken = batch.author_texts.get(authors_piece)
     obj = raw_authors = None
     if taken is None:
         if (decoded := decode_authors(authors_piece)) is None:
@@ -549,7 +561,7 @@ def parse_jsonl(
     *,
     scheme: SubjectScheme | None = None,
     provenance: str = "jsonl",
-    _sink: Callable[[list[PublicationRecord]], object] | None = None,
+    _sink: Callable[[list[_Counted]], object] | None = None,
 ) -> tuple[Corpus, ValidationReport]:
     """Parse a JSONL record stream.
 
@@ -557,16 +569,22 @@ def parse_jsonl(
     file; it is read once, line by line. Returns the corpus of accepted
     records plus a validation report. Rows missing ``id`` or ``authors`` are
     rejected; missing ``year``/``doc_type`` degrade with a warning. Blank
-    lines are ignored. The private ``_sink`` takes accepted records in lists as
-    they come, leaving the corpus the rest; an id out of order raises ``_Unordered``.
+    lines are ignored. The private ``_sink`` takes the records as ``_Counted``
+    tuples in lists, and the corpus is empty; an id out of order raises ``_Unordered``.
     """
     batch = _Batch("line", _sink)
     for batch.number, line in enumerate(
         _split_lines(source) if isinstance(source, str) else source, start=1
     ):
         compact = _split_compact(line)
-        if compact is not None and _take_compact(batch, *compact, _decode_fields, _decode_authors):
-            continue
+        if compact is not None:
+            fields, taken = batch.fields.get(compact[1]), batch.author_texts.get(compact[2])
+            if fields and taken and fields[0].__class__ is int and batch.by_id is None:
+                if (rec_id := compact[0].strip()) > batch.last_id:
+                    batch.accept(rec_id, fields[0], fields, taken)
+                    continue
+            if _take_compact(batch, *compact, fields, taken):
+                continue
         if not line.strip():
             continue
         try:
@@ -610,7 +628,7 @@ def parse_csv(
     *,
     scheme: SubjectScheme | None = None,
     provenance: str = "csv",
-    _sink: Callable[[list[PublicationRecord]], object] | None = None,
+    _sink: Callable[[list[_Counted]], object] | None = None,
 ) -> tuple[Corpus, ValidationReport]:
     """Parse the CSV record format; see the module docstring for the layout.
 
@@ -626,7 +644,8 @@ def parse_csv(
             continue
         rec_id, year, doc_type, subjects, authors = (c.strip() for c in row)
         fields = (year, doc_type, subjects)
-        _take_compact(batch, rec_id, fields, authors, _decode_csv_fields, _decode_csv_authors, True)
+        known = batch.fields.get(fields), batch.author_texts.get(authors)
+        _take_compact(batch, rec_id, fields, authors, *known, _decode_csv_fields, _decode_csv_authors, True)
     return batch.finish(scheme, provenance)
 
 
@@ -830,15 +849,16 @@ def apply_filter(
     An empty or ``None`` dimension means no constraint on it. Record order
     is preserved and the scheme/provenance carry over.
     """
-    return corpus._subset(_keeps(years, doc_types))
+    keep = _keeps(years, doc_types)
+    return corpus._subset(lambda record: keep((record.year, record.doc_type)))
 
 
 def _keeps(years: Iterable[int] | None, doc_types: Iterable[DocType] | None) -> Callable[..., bool]:
-    """The predicate :func:`apply_filter` keeps a record by."""
+    """The filter's predicate, on a tuple that starts with a record's year and doc type."""
     year_set = set(years) if years else None
     type_set = set(doc_types) if doc_types else None
-    return lambda r: (year_set is None or r.year in year_set) and (
-        type_set is None or r.doc_type in type_set
+    return lambda c: (year_set is None or c[0] in year_set) and (
+        type_set is None or c[1] in type_set
     )
 
 

@@ -148,6 +148,10 @@ class PublicationRecord(object):
     authors: tuple[AuthorRef, ...] = ()
 
 
+_Counted = tuple[int, DocType, frozenset[str], tuple[AuthorRef, ...]]
+_counted = attrgetter("year", "doc_type", "subjects", "authors")  # as a streamed parse hands it on
+
+
 def countries_of(record: PublicationRecord) -> frozenset[str]:
     """Deduplicated union of all authors' country sets.
 

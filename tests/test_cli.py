@@ -825,6 +825,17 @@ class TestSynthCommand:
         assert code == 1
         assert "CODE:WEIGHT" in err
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "NaN", "x"])
+    def test_a_weight_that_is_not_a_finite_number_is_refused_by_name(self, capsys, weight):
+        code, out, err = invoke(
+            capsys, "synth", "--seed", "1", "--n-records", "5", "--countries", f"AA:{weight},ZY:1"
+        )
+        assert (code, out, err) == (1, "", f"error: bad weight {weight!r} for 'AA'\n")
+
+    def test_a_negative_seed_is_refused_by_name(self, capsys):
+        code, out, err = invoke(capsys, "synth", "--seed", "-1", "--n-records", "5")
+        assert (code, out, err) == (1, "", "error: --seed must be a non-negative integer, got -1\n")
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

@@ -606,8 +606,8 @@ class TestShuffledInput:
 
 
 class TestStreamedWalk:
-    """A walk fed by a parse as it reads, with no corpus built, gives the
-    tables of the parsed corpus bit for bit."""
+    """A walk fed by a parse as it reads, with no record or corpus built,
+    gives the tables of the parsed corpus bit for bit."""
 
     GROUPS = [ALL_FIELDS, *SWEEP_SCHEME.names]
     METHODS = [[m] for m in CountMethod] + [[*CountMethod, counting._ICP]]
@@ -615,18 +615,32 @@ class TestStreamedWalk:
     @pytest.mark.parametrize("name", SWEEP_CORPORA)
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     @pytest.mark.parametrize("methods", METHODS, ids=lambda ms: "+".join(str(m) for m in ms))
-    def test_streamed_tables_match_the_parsed_corpus(self, name, fmt, methods):
+    def test_streamed_tables_match_the_parsed_corpus(self, monkeypatch, name, fmt, methods):
         # written in id order, as a file that streams to its end is
         ordered = Corpus(SWEEP_CORPORA[name]._by_id, SWEEP_SCHEME)
         text, parse = (to_jsonl(ordered), parse_jsonl) if fmt == "jsonl" else (to_csv(ordered), parse_csv)
         parsed, report = parse(text, scheme=SWEEP_SCHEME)
         walk = counting._Walk(SWEEP_SCHEME, methods, self.GROUPS)
-        rest, streamed_report = parse(text, scheme=SWEEP_SCHEME, _sink=walk.feed)
-        # the sink took every full list of records, and the corpus the rest
+        lists: list[list] = []
+
+        def sink(counted):
+            lists.append(list(counted))
+            walk.feed(counted)
+
+        # a streamed record is handed on as a plain tuple, never built
+        monkeypatch.setattr(ingest, "PublicationRecord", None)
+        empty, streamed_report = parse(text, scheme=SWEEP_SCHEME, _sink=sink)
+        monkeypatch.undo()
+        # the sink took every full list of records, then the rest, and the
+        # corpus is empty
         assert len(parsed) == len(ordered)
-        assert list(rest) == list(parsed)[len(parsed) - len(parsed) % ingest._FEED_RECORDS :]
+        full, rest = divmod(len(parsed), ingest._FEED_RECORDS)
+        assert [len(counted) for counted in lists] == [ingest._FEED_RECORDS] * full + [rest]
+        assert [c for counted in lists for c in counted] == [
+            (r.year, r.doc_type, r.subjects, r.authors) for r in parsed.records
+        ]
+        assert list(empty) == []
         assert streamed_report == report
-        walk.feed(rest._by_id)
         tables = walk.credit()
         for method in methods:
             if method == counting._ICP:
@@ -642,7 +656,7 @@ class TestStreamedWalk:
         # has taken it, so its id is free for the next author list to reuse
         corpus = SWEEP_CORPORA["messy"]
         walk = counting._Walk(SWEEP_SCHEME, list(CountMethod), self.GROUPS)
-        walk.feed(replace(record, authors=tuple(list(record.authors))) for record in corpus._by_id)
+        walk.feed((r.year, r.doc_type, r.subjects, tuple(list(r.authors))) for r in corpus._by_id)
         tables = walk.credit()
         for method in CountMethod:
             expected = subject_group_count(corpus, method, self.GROUPS)
@@ -651,14 +665,19 @@ class TestStreamedWalk:
 
     @pytest.mark.parametrize("last", ["p00000", "p01499", "p00999"])
     def test_an_id_that_does_not_increase_stops_the_stream(self, last):
-        # the sink is handed whole lists of records as they fill, and none after
+        # the sink is handed whole lists of records as they fill, and none
+        # after; the lines repeat their pieces, so most are known lines
         ids = [f"p{i:05d}" for i in range(1500)] + [last]
-        text = "".join(f'{{"id":"{i}","authors":[{{"countries":["US"]}}]}}\n' for i in ids)
-        seen: list[str] = []
+        text = "".join(
+            f'{{"id":"{i}","year":{2000 + n % 7},"doc_type":"article","subjects":[],'
+            f'"authors":[{{"countries":["US"]}}]}}\n'
+            for n, i in enumerate(ids)
+        )
+        seen: list = []
         with pytest.raises(ingest._Unordered):
-            parse_jsonl(text, _sink=lambda records: seen.extend(r.id for r in records))
-        assert seen == ids[: ingest._FEED_RECORDS]
+            parse_jsonl(text, _sink=seen.extend)
         # the same text read into a corpus takes each id once
         corpus, report = parse_jsonl(text)
+        assert seen == [(r.year, r.doc_type, r.subjects, r.authors) for r in corpus.records[: ingest._FEED_RECORDS]]
         assert sorted(r.id for r in corpus) == sorted(set(ids))
         assert report.records_rejected == len(ids) - len(set(ids))
