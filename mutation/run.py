@@ -161,8 +161,8 @@ MUTANTS = (
         INGEST,
         (
             (
-                "        known = batch.fields.get(fields), batch.author_texts.get(authors)\n",
-                "        known = batch.fields.get(fields[:2]), batch.author_texts.get(authors)\n",
+                "        fields, taken = batch.fields.get(cells), batch.author_texts.get(authors)\n",
+                "        fields, taken = batch.fields.get(cells[:2]), batch.author_texts.get(authors)\n",
             ),
             (
                 "        batch.fields[fields_piece] = fields\n",

@@ -643,9 +643,11 @@ def parse_csv(
             batch.reject(None, f"expected {len(CSV_HEADER)} columns, got {len(row)}")
             continue
         rec_id, year, doc_type, subjects, authors = (c.strip() for c in row)
-        fields = (year, doc_type, subjects)
-        known = batch.fields.get(fields), batch.author_texts.get(authors)
-        _take_compact(batch, rec_id, fields, authors, *known, _decode_csv_fields, _decode_csv_authors, True)
+        cells = (year, doc_type, subjects)
+        fields, taken = batch.fields.get(cells), batch.author_texts.get(authors)
+        _take_compact(
+            batch, rec_id, cells, authors, fields, taken, _decode_csv_fields, _decode_csv_authors, True
+        )
     return batch.finish(scheme, provenance)
 
 

@@ -148,10 +148,6 @@ class PublicationRecord(object):
     authors: tuple[AuthorRef, ...] = ()
 
 
-_Counted = tuple[int, DocType, frozenset[str], tuple[AuthorRef, ...]]
-_counted = attrgetter("year", "doc_type", "subjects", "authors")  # as a streamed parse hands it on
-
-
 def countries_of(record: PublicationRecord) -> frozenset[str]:
     """Deduplicated union of all authors' country sets.
 
@@ -203,6 +199,8 @@ class SubjectScheme(object):
 
 
 EMPTY_SCHEME = SubjectScheme({})
+_Counted = tuple[int, DocType, frozenset[str], tuple[AuthorRef, ...]]  # a streamed record
+_counted = attrgetter("year", "doc_type", "subjects", "authors")
 
 
 def _increasing(ids: Iterable[str]) -> bool:
