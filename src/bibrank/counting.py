@@ -26,26 +26,26 @@ sweep counts every requested method, icp included, for every requested
 table (``ALL`` and any subject groups); unknown group names raise before
 any record is counted.
 
-A sweep has two phases and drops everything it built on return. The walk
-is fed records in id order, each as the plain tuple a parse given a sink
-hands on (year, doc type, subject set and authors tuple): in lists straight
-from the parser as the command line reads a file, which builds no record,
-or mapped from a corpus. It holds no record. It gives each record a kind,
-the index of its ``authors`` tuple by identity (ingest and ``generate``
-share one tuple between records with the same author list), and appends
-that kind to the list of every group the record belongs to. A kind is
-priced at its first record: its fractional-author shares from its authors'
-country sets, the other methods' by its country union and whether any
-author is unresolved. A hand-built corpus that
-shares no tuple is counted the same, with one kind per record. Group
-membership is memoized per subject set, so subjects must be hashable, as
-the frozenset that ``PublicationRecord`` declares is. The credit phase then
-fills each table from its group's list. Whole and icp shares are all
-exactly 1.0, so a table counts its records per country union in integers,
-adds each union's count to its countries, and gives a country credited by
-n records float(n): below 2**53 a sum of n 1.0s is exact in any order, so
-it is the same float. Fractional shares are added once per record, in id
-order, as the sequential sum adds them.
+A sweep has two phases and drops everything it built on return. The walk is
+fed records in id order, each as the plain tuple a parse given a sink hands
+on (year, doc type, subject set, authors tuple): in lists from a parse that
+builds no record and returns an empty corpus, as the command line reads a
+file, or mapped from a corpus. It holds no record. It gives each record a
+kind, the index of its ``authors`` tuple by identity (ingest and
+``generate`` share one tuple between records with the same author list), and
+appends that kind to the list of every group the record belongs to. A kind
+is priced at its first record: its fractional-author shares from its
+authors' country sets, the other methods' by its country union and whether
+any author is unresolved. A hand-built corpus that shares no tuple is
+counted the same, with one kind per record. Group membership is memoized per
+subject set, so subjects must be hashable, as the frozenset that
+``PublicationRecord`` declares is. The credit phase then fills each table
+from its group's list. Whole and icp shares are all exactly 1.0, so a table
+counts its records per country union in integers, adds each union's count to
+its countries, and gives a country credited by n records float(n): below
+2**53 a sum of n 1.0s is exact in any order, so it is the same float.
+Fractional shares are added once per record, in id order, as the sequential
+sum adds them.
 """
 
 from __future__ import annotations
