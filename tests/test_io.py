@@ -1345,6 +1345,11 @@ class TestApplyFilter:
         assert filtered.records == mixed_corpus.records
         assert filtered.scheme is mixed_corpus.scheme
 
+    def test_a_filter_that_keeps_every_record_returns_the_corpus(self, mixed_corpus):
+        shuffled = Corpus(mixed_corpus.records[::-1], mixed_corpus.scheme)
+        for corpus in (mixed_corpus, shuffled):
+            assert apply_filter(corpus, years={2016}, doc_types=DEFAULT_DOC_TYPES) is corpus
+
 
 class TestAggregateCsv:
     def test_aggregate_rows(self):

@@ -145,12 +145,35 @@ class TestCorpus:
         assert ordered == mixed_corpus
         assert ordered._by_id is ordered.records
 
-    def test_a_subset_that_keeps_every_record_shares_both_orders(self, mixed_corpus):
+    def test_a_subset_that_keeps_every_record_is_the_corpus_itself(self, mixed_corpus):
+        # the corpus is frozen, so sharing it is safe
         shuffled = Corpus(mixed_corpus.records[::-1], mixed_corpus.scheme)
         whole = shuffled._subset(lambda r: True)
-        assert whole == shuffled and whole is not shuffled
+        assert whole == shuffled and whole is shuffled
         assert whole.records is shuffled.records
         assert whole._by_id is shuffled._by_id
+
+    @pytest.mark.parametrize("order", ["short", "repeated", "full"])
+    def test_no_caller_can_hand_a_corpus_its_id_order(self, order):
+        # an order taken on trust was counted: a short one dropped a record
+        # and a repeated one counted it twice
+        a, b = rec("a", ["US"]), rec("b", ["GB"])
+        given = {"short": (a,), "repeated": (a, a), "full": (a, b)}[order]
+        with pytest.raises(TypeError):
+            Corpus((a, b), EMPTY_SCHEME, "", given)
+
+    def test_a_subset_of_a_shuffled_corpus_asks_each_record_once(self, mixed_corpus):
+        shuffled = Corpus(mixed_corpus.records[::-1], mixed_corpus.scheme)
+        asked = []
+
+        def keep(record):
+            asked.append(record.id)
+            return record.id != "p3"
+
+        subset = shuffled._subset(keep)
+        assert asked == [r.id for r in shuffled]
+        assert [r.id for r in subset] == ["p6", "p5", "p4", "p2", "p1"]
+        assert [r.id for r in subset._by_id] == ["p1", "p2", "p4", "p5", "p6"]
 
     def test_len_and_iter(self, mixed_corpus):
         assert len(mixed_corpus) == 6

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import re
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -217,14 +215,18 @@ class TestGeneratorGate:
         params = SynthParams(seed=3, n_records=3, country_weights=weights, collab_prob=0.5)
         assert _outcome(generate, params) == _outcome(oracle_generate, params)
 
-    def test_negative_weight_set_after_the_checks_fails_as_before(self):
-        # SynthParams checks its weights once; its dict can change after.
-        # The text is the installed numpy's, so its case is not pinned
-        params = SynthParams(seed=1, n_records=5, country_weights={"AA": 1.0, "ZY": 2.0})
-        params.country_weights["AA"] = -1.0
-        outcome = _outcome(generate, params)
-        assert re.fullmatch("(?i)probabilities are not non-negative", outcome)
-        assert outcome == _outcome(oracle_generate, params)
+    @pytest.mark.parametrize("weight", [-1.0, 0.0])
+    def test_weight_set_after_the_checks_is_refused_by_them(self, weight):
+        # SynthParams's dict can change after it was built; iter_records runs
+        # the constructor's checks again, so a later weight is refused in the
+        # constructor's words (the reference drew from a zero weight, and
+        # refused a negative one in numpy's)
+        weights = {"AA": 1.0, "BB": 1.0, "ZY": 2.0}
+        params = SynthParams(seed=1, n_records=50, country_weights=weights)
+        params.country_weights["AA"] = weight
+        assert _outcome(generate, params) == "country weights must be positive"
+        with pytest.raises(ValueError, match="^country weights must be positive$"):
+            iter_records(params)
 
     def test_seed_must_be_an_integer(self):
         # numpy's PCG64 also takes a sequence of ints; synth seeds from one int
