@@ -354,6 +354,12 @@ MUTANTS = (
         ("tests/test_cli.py",),
     ),
     Mutant(
+        "synth: the constructor's checks not run again",
+        SYNTH,
+        (("    params = replace(params)  #", "    params = params  #"),),
+        SYNTH_TESTS,
+    ),
+    Mutant(
         "synth: weights checked by their sum alone",
         SYNTH,
         (("        if not (all(x >= 0 for x in p) and abs(", "        if not (True and abs("),),
@@ -527,7 +533,7 @@ MUTANTS = (
     Mutant(
         "model: drop Corpus's duplicate-id check",
         "bibrank/model.py",
-        (("                        if record.id in seen:\n", "                        if False:\n"),),
+        (("                    if record.id in seen:\n", "                    if False:\n"),),
         ("tests/test_model.py",),
     ),
     Mutant(
@@ -541,25 +547,14 @@ MUTANTS = (
         "bibrank/model.py",
         (
             (
-                '                _id_order = tuple(sorted(records, key=attrgetter("id")))\n',
-                "                _id_order = records\n",
+                '            by_id = tuple(sorted(records, key=attrgetter("id")))\n',
+                "            by_id = records\n",
             ),
         ),
         COUNTING_TESTS,
     ),
     Mutant(
-        "model: a subset of an unsorted corpus keeps its input order as its id order",
-        "bibrank/model.py",
-        (
-            (
-                "        by_id = kept if self._by_id is self.records else tuple(filter(keep, self._by_id))\n",
-                "        by_id = kept\n",
-            ),
-        ),
-        COUNTING_TESTS,
-    ),
-    Mutant(
-        "model: a subset that drops records keeps its parent's id order",
+        "model: a subset that drops records is its parent",
         "bibrank/model.py",
         (("        if len(kept) == len(self.records):\n", "        if len(kept) <= len(self.records):\n"),),
         COUNTING_TESTS,

@@ -268,10 +268,9 @@ class _Batch(object):
             self.sink(self.records)
             self.records.clear()
         records = tuple(self.records if self.by_id is None else self.by_id.values())
-        order = records if self.by_id is None else None  # ids proven in order and unique
         self.records.clear()
         self.by_id = None
-        return Corpus(records, scheme or EMPTY_SCHEME, provenance, order), self.report
+        return Corpus(records, scheme or EMPTY_SCHEME, provenance), self.report
 
 
 def _take_doc_type(raw: Any) -> tuple[DocType, tuple[str, ...]]:

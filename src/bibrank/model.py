@@ -8,7 +8,7 @@ are credited to the pseudo-country ``ZZ`` at counting time.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import tee
 from operator import attrgetter, lt
@@ -216,37 +216,33 @@ class Corpus(object):
 
     ``records`` keeps the input order, which the writers follow. Counting
     walks the records in id order, which the corpus works out once when it
-    is built: ids that already increase are checked by one pass over
-    neighbours and cost nothing more, and other records are sorted by id
-    once and that order kept. Both checks prove the ids unique; on a repeat
-    the records are scanned in their own order, so the error names the
-    first id to repeat there.
+    is built, from its records alone: no caller can hand it one. Ids that
+    already increase are checked by one pass over neighbours and cost
+    nothing more, and other records are sorted by id once and that order
+    kept. Both checks prove the ids unique; on a repeat the records are
+    scanned in their own order, so the error names the first id to repeat
+    there.
     """
 
     records: tuple[PublicationRecord, ...]
     scheme: SubjectScheme = EMPTY_SCHEME
     provenance: str = ""
-    # the records in id order, from a caller that vouches for it: a corpus
-    # that passes on a subset of its own records, or a parse whose accepted
-    # ids increased
-    _id_order: InitVar[tuple[PublicationRecord, ...] | None] = None
     # the records in id order; ``records`` itself when already in it
     _by_id: tuple[PublicationRecord, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, _id_order: tuple[PublicationRecord, ...] | None) -> None:
+    def __post_init__(self) -> None:
         records = tuple(self.records)
         object.__setattr__(self, "records", records)
-        if _id_order is None:
-            _id_order = records
-            if not _increasing(map(attrgetter("id"), records)):
-                _id_order = tuple(sorted(records, key=attrgetter("id")))
-                if not _increasing(map(attrgetter("id"), _id_order)):
-                    seen: set[str] = set()
-                    for record in records:
-                        if record.id in seen:
-                            raise ValueError(f"duplicate record id {record.id!r}")
-                        seen.add(record.id)
-        object.__setattr__(self, "_by_id", _id_order)
+        by_id = records
+        if not _increasing(map(attrgetter("id"), records)):
+            by_id = tuple(sorted(records, key=attrgetter("id")))
+            if not _increasing(map(attrgetter("id"), by_id)):
+                seen: set[str] = set()
+                for record in records:
+                    if record.id in seen:
+                        raise ValueError(f"duplicate record id {record.id!r}")
+                    seen.add(record.id)
+        object.__setattr__(self, "_by_id", by_id)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -255,13 +251,13 @@ class Corpus(object):
         return iter(self.records)
 
     def _subset(self, keep: Callable[[PublicationRecord], object]) -> "Corpus":
-        """The corpus of the records ``keep`` is true for, in both orders.
+        """The corpus of the records ``keep`` is true for, in record order.
 
-        ``keep`` runs once on each record in order, and once more in id
-        order only where that order differs and some record was dropped.
+        ``keep`` runs once on each record, in record order. A subset that
+        keeps every record is this corpus, which is frozen, so sharing it is
+        safe; any other works out its own id order.
         """
         kept = tuple(filter(keep, self.records))
         if len(kept) == len(self.records):
-            return Corpus(self.records, self.scheme, self.provenance, self._by_id)
-        by_id = kept if self._by_id is self.records else tuple(filter(keep, self._by_id))
-        return Corpus(kept, self.scheme, self.provenance, by_id)
+            return self
+        return Corpus(kept, self.scheme, self.provenance)

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain, permutations, product
 from typing import TYPE_CHECKING, Callable, Iterator
 
@@ -261,8 +261,9 @@ class _Draws(object):
 def iter_records(params: SynthParams) -> Iterator[PublicationRecord]:
     """The records :func:`generate` returns, one at a time, in the same order.
 
-    Every check runs on this call, before any record is drawn: a weight that
-    ``Generator.choice`` refuses raises here, and so does a corpus that may
+    Every check runs on this call, before any record is drawn: the
+    constructor's own, again, so a weight changed after it ran is refused in
+    its words; a weight that ``Generator.choice`` refuses; and a corpus that may
     hold international records (``collab_prob > 0``) when fewer than two
     weights are non-zero once normalized, whether or not a record drawn
     would be international. So iterating never raises, and a writer that
@@ -270,6 +271,7 @@ def iter_records(params: SynthParams) -> Iterator[PublicationRecord]:
     """
     import numpy as np
 
+    params = replace(params)  # the constructor's checks, on today's weights
     next_chunk = _pcg64_chunks(params.seed)
     countries = sorted(params.country_weights)
     weights = np.array([params.country_weights[c] for c in countries], dtype=float)
