@@ -360,15 +360,9 @@ MUTANTS = (
         SYNTH_TESTS,
     ),
     Mutant(
-        "synth: weights checked by their sum alone",
+        "synth: weights not checked by their sum",
         SYNTH,
-        (("        if not (all(x >= 0 for x in p) and abs(", "        if not (True and abs("),),
-        SYNTH_TESTS,
-    ),
-    Mutant(
-        "synth: weights checked by their signs alone",
-        SYNTH,
-        ((" and abs(sum(p) - 1.0) <= 2.0**-26):\n", "):\n"),),
+        (("        if not abs(sum(p) - 1.0) <= 2.0**-26:\n", "        if False:\n"),),
         SYNTH_TESTS,
     ),
     Mutant(

@@ -277,10 +277,11 @@ def iter_records(params: SynthParams) -> Iterator[PublicationRecord]:
     weights = np.array([params.country_weights[c] for c in countries], dtype=float)
     probs = weights / weights.sum()
     if params.n_records:
-        # choice's checks (weights over their sum miss 1 by ulps or by far, so a
+        # choice's checks: every weight is positive or NaN (the constructor's
+        # check), so only the sum can fail, missing 1 by ulps or by far (a
         # plain sum decides as its Kahan sum does); numpy raises its own refusal
         p = probs.tolist()
-        if not (all(x >= 0 for x in p) and abs(sum(p) - 1.0) <= 2.0**-26):
+        if not abs(sum(p) - 1.0) <= 2.0**-26:
             import numpy.random
             numpy.random.Generator(numpy.random.PCG64(0)).choice(len(p), p=probs)
         if params.collab_prob > 0 and np.count_nonzero(probs) < 2:
