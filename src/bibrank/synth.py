@@ -261,13 +261,14 @@ class _Draws(object):
 def iter_records(params: SynthParams) -> Iterator[PublicationRecord]:
     """The records :func:`generate` returns, one at a time, in the same order.
 
-    Every check runs on this call, before any record is drawn: the
-    constructor's own, again, so a weight changed after it ran is refused in
-    its words; a weight that ``Generator.choice`` refuses; and a corpus that may
-    hold international records (``collab_prob > 0``) when fewer than two
-    weights are non-zero once normalized, whether or not a record drawn
-    would be international. So iterating never raises, and a writer that
-    takes the records one at a time writes all or none.
+    Every check runs on this call, before any record is drawn. The
+    constructor's checks run again, so a weight changed after they ran is
+    refused in their words. A weight that ``Generator.choice`` refuses
+    raises here, and so does a corpus that may hold international records
+    (``collab_prob > 0``) when fewer than two weights are non-zero once
+    normalized, whether or not a record drawn would be international. So
+    iterating never raises, and a writer that takes the records one at a
+    time writes all or none.
     """
     import numpy as np
 

@@ -145,7 +145,7 @@ class TestCorpus:
         assert ordered == mixed_corpus
         assert ordered._by_id is ordered.records
 
-    def test_a_subset_that_keeps_every_record_is_the_corpus_itself(self, mixed_corpus):
+    def test_a_subset_that_keeps_every_record_shares_both_orders(self, mixed_corpus):
         # the corpus is frozen, so sharing it is safe
         shuffled = Corpus(mixed_corpus.records[::-1], mixed_corpus.scheme)
         whole = shuffled._subset(lambda r: True)

@@ -219,8 +219,8 @@ class TestGeneratorGate:
     def test_weight_set_after_the_checks_is_refused_by_them(self, weight):
         # SynthParams's dict can change after it was built; iter_records runs
         # the constructor's checks again, so a later weight is refused in the
-        # constructor's words (the reference drew from a zero weight, and
-        # refused a negative one in numpy's)
+        # constructor's words. oracle_generate draws from a zero weight and
+        # refuses a negative one in numpy's words, so it is not compared here
         weights = {"AA": 1.0, "BB": 1.0, "ZY": 2.0}
         params = SynthParams(seed=1, n_records=50, country_weights=weights)
         params.country_weights["AA"] = weight
